@@ -448,7 +448,12 @@ def _apply_thread_limit(threads):
         env = os.environ.get(THREADS_ENV_VAR)
         if env is None:
             return
-        threads = int(env)
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ConfigError(
+                f"{THREADS_ENV_VAR} must be an integer, got {env!r}") \
+                from None
     if threads < 1:
         raise ConfigError("thread count must be >= 1")
     try:
@@ -494,7 +499,7 @@ def main(argv=None):
     try:
         _apply_thread_limit(getattr(args, "threads", None))
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, sc.GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

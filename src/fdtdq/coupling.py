@@ -182,7 +182,7 @@ def coupled_step(graph, dt):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     regs = graph.regions
-    hbar = graph.hbar
+    scale = dt / graph.hbar
     n = graph.step_index()
 
     # Imaginary half step.
@@ -190,8 +190,10 @@ def coupled_step(graph, dt):
     for name, r in regs.items():
         h = r.ops.apply_H(r.state.psiR)
         ge = r.boundary.hanging_at(r.ops, n * dt, part="real")
-        rhs = -h + r.ops.apply_Hbot(ge)
-        upd = (dt / hbar) * rhs / r.v3flat
+        rhs = r.ops.apply_Hbot(ge, r.boundary.driven_faces)
+        rhs -= h
+        upd = scale * rhs
+        upd /= r.v3flat
         upd[r.pinned_flat] = 0.0
         h_r[name], grad_ext_r[name], rhs_i[name] = h, ge, rhs
         psi_i_new[name] = r.state.psiI + upd
@@ -206,8 +208,10 @@ def coupled_step(graph, dt):
     for name, r in regs.items():
         h = r.ops.apply_H(psi_i_new[name])
         ge = r.boundary.hanging_at(r.ops, (n + 0.5) * dt, part="imag")
-        rhs = h - r.ops.apply_Hbot(ge)
-        upd = (dt / hbar) * rhs / r.v3flat
+        rhs = r.ops.apply_Hbot(ge, r.boundary.driven_faces)
+        np.subtract(h, rhs, out=rhs)
+        upd = scale * rhs
+        upd /= r.v3flat
         upd[r.pinned_flat] = 0.0
         h_i[name], grad_ext_i[name], rhs_r[name] = h, ge, rhs
         psi_r_new[name] = r.state.psiR + upd
@@ -287,7 +291,7 @@ def run_coupled(graph, dt, n_t, guard_factor=1e6, allow_unstable=False,
         raise ValueError("n_t must be nonnegative")
     if not allow_unstable:
         enforce_time_step(graph, dt)
-    builders = {name: SeriesBuilder(r.ops, dt, n_t)
+    builders = {name: SeriesBuilder(r.ops, dt, n_t, r.boundary.flux_faces)
                 for name, r in graph.regions.items()}
 
     def global_norm():
@@ -346,12 +350,8 @@ def interface_current_mismatch(graph, windows):
         vals = {}
         for name, face in ((itf.region_a, itf.face_a),
                            (itf.region_b, itf.face_b)):
-            w = windows[name]
             cur = probability_current_by_face(
-                graph.regions[name].ops,
-                0.5 * (w.psiR_np1 + w.psiR_n),
-                0.5 * (w.psiI_np + w.psiI_nm),
-                w.gradR_n, w.gradI_np)
+                graph.regions[name].ops, windows[name], (face,))
             vals[name] = cur[face]
             scale = max(scale, abs(cur[face]))
         worst = max(worst, abs(vals[itf.region_a] + vals[itf.region_b]))

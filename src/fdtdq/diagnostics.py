@@ -14,12 +14,18 @@ the supplied power s^{n+1/2}; the balances read
 
     (P^{n+1} - P^n)/dt = -I_P^{n+1/2},      (H^{n+1} - H^n)/dt = s^{n+1/2}.
 
+Both fluxes are sums over boundary nodes weighted by the hanging variables,
+so they are evaluated on face slices only, and only on the faces whose
+hanging variables can be nonzero (prescribed and interface faces; see
+BoundaryCondition.flux_faces).  Dirichlet-zero and Neumann-zero faces
+contribute exactly zero and are skipped.
+
 All reductions are plain numpy sums (pairwise, fixed order) so repeated
 runs produce identical digits.
 """
 
 import csv as _csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -70,36 +76,64 @@ def total_energy(psiR, psiR_prev, psiI, psiI_next, ops, dt,
     return simple + corr
 
 
-def probability_current_by_face(ops, psiR_avg, psiI_avg, grad_r, grad_i):
+def probability_current_by_face(ops, window, faces=FACES):
     """Per-face probability current I_P^{n+1/2}; returns dict face -> value.
 
-    psiR_avg = (psi_R^{n+1} + psi_R^n)/2, psiI_avg likewise for the
-    imaginary half steps; grad_r and grad_i are the hanging vectors at n
-    and n+1/2.
+    window is the StepWindow of step n -> n+1.  The current through a face
+    is (2/hbar) times the face sum of kin n.S''_b (psiR_avg gradI^{n+1/2}
+    - psiI_avg gradR^n), where psiR_avg = (psi_R^{n+1} + psi_R^n)/2 and
+    psiI_avg = (psi_I^{n+1/2} + psi_I^{n-1/2})/2 are formed on the face
+    nodes only.  The sums run over the listed faces; every other face is
+    reported as 0.0, which is exact when its hanging variables are zero.
     """
     grid = ops.grid
-    r3 = psiR_avg.reshape(grid.node_shape)
-    i3 = psiI_avg.reshape(grid.node_shape)
-    gr = ops.split_hanging(grad_r)
-    gi = ops.split_hanging(grad_i)
+    shape = grid.node_shape
+    r_np1 = window.psiR_np1.reshape(shape)
+    r_n = window.psiR_n.reshape(shape)
+    i_np = window.psiI_np.reshape(shape)
+    i_nm = window.psiI_nm.reshape(shape)
     two_over_hbar = 2.0 / ops.constants.hbar
-    out = {}
-    for f in FACES:
+    out = dict.fromkeys(FACES, 0.0)
+    for f in faces:
         sl = face_node_slices(grid, f)
-        coeff = ops.face_coeff[f]
+        r_avg = 0.5 * (r_np1[sl] + r_n[sl])
+        i_avg = 0.5 * (i_np[sl] + i_nm[sl])
+        gr = ops.face_block(window.gradR_n, f)
+        gi = ops.face_block(window.gradI_np, f)
         out[f] = two_over_hbar * float(
-            np.sum(coeff * (r3[sl] * gi[f] - i3[sl] * gr[f])))
+            np.sum(ops.face_coeff[f] * (r_avg * gi - i_avg * gr)))
     return out
 
 
-def supplied_power(ops, dpsiR, dpsiI, grad_r_avg, grad_i_avg, dt):
-    """s^{n+1/2} from the step differences and time-averaged boundary data.
+def supplied_power(ops, window, grad_r_next, grad_i_prev, dt, faces=FACES):
+    """s^{n+1/2} = (2/dt) (dpsiR . H_bot gradR_avg + dpsiI . H_bot gradI_avg).
 
-    dpsiR = psi_R^{n+1} - psi_R^n, dpsiI = psi_I^{n+1/2} - psi_I^{n-1/2};
-    grad_r_avg = (gradR^{n+1} + gradR^n)/2 and similarly for grad_i_avg.
+    window is the StepWindow of step n -> n+1, giving dpsiR = psi_R^{n+1}
+    - psi_R^n and dpsiI = psi_I^{n+1/2} - psi_I^{n-1/2}; grad_r_next is
+    gradR^{n+1} and grad_i_prev is gradI^{n-1/2}, so that gradR_avg =
+    (gradR^{n+1} + gradR^n)/2 and gradI_avg = (gradI^{n+1/2} +
+    gradI^{n-1/2})/2.  The differences, averages and dot products are
+    formed on the listed faces' nodes only, which is exact when the
+    hanging variables of every other face are zero.
     """
-    return (2.0 / dt) * (_dot(dpsiR, ops.apply_Hbot(grad_r_avg))
-                         + _dot(dpsiI, ops.apply_Hbot(grad_i_avg)))
+    grid = ops.grid
+    shape = grid.node_shape
+    r_np1 = window.psiR_np1.reshape(shape)
+    r_n = window.psiR_n.reshape(shape)
+    i_np = window.psiI_np.reshape(shape)
+    i_nm = window.psiI_nm.reshape(shape)
+    acc_r = 0.0
+    acc_i = 0.0
+    for f in faces:
+        sl = face_node_slices(grid, f)
+        coeff = ops.face_coeff[f]
+        gr_avg = 0.5 * (ops.face_block(grad_r_next, f)
+                        + ops.face_block(window.gradR_n, f))
+        gi_avg = 0.5 * (ops.face_block(window.gradI_np, f)
+                        + ops.face_block(grad_i_prev, f))
+        acc_r += _dot(r_np1[sl] - r_n[sl], coeff * gr_avg)
+        acc_i += _dot(i_np[sl] - i_nm[sl], coeff * gi_avg)
+    return (2.0 / dt) * (acc_r + acc_i)
 
 
 def energy_lower_bound(ops, dt, p_max, lambda_min=None):
@@ -158,11 +192,11 @@ class DiagnosticsSeries:
         res_h = np.full(self.H.shape, np.nan)
         valid_h = min(m, self.n_t - 1)
         if valid_h >= 1:
-            acc = 0.0
             res_h[1] = 0.0
-            for n in range(2, valid_h + 1):
-                acc += self.s[n - 1]
-                res_h[n] = self.H[n] - self.H[1] - self.dt * acc
+            # cumsum adds sequentially, in the order of a running total.
+            acc = np.cumsum(self.s[1:valid_h])
+            res_h[2:valid_h + 1] = (self.H[2:valid_h + 1] - self.H[1]
+                                    - self.dt * acc)
         if norm_H is None:
             with np.errstate(invalid="ignore"):
                 norm_H = np.nanmax(np.abs(self.H))
@@ -214,12 +248,18 @@ class DiagnosticsSeries:
 
 
 class SeriesBuilder:
-    """Accumulates a DiagnosticsSeries from step windows, in step order."""
+    """Accumulates a DiagnosticsSeries from step windows, in step order.
 
-    def __init__(self, ops, dt, n_t):
+    faces lists the faces whose hanging variables can be nonzero
+    (BoundaryCondition.flux_faces); the boundary fluxes are summed over
+    those faces only.
+    """
+
+    def __init__(self, ops, dt, n_t, faces=FACES):
         self.ops = ops
         self.dt = dt
         self.n_t = n_t
+        self.faces = tuple(faces)
         self.P = np.full(n_t + 1, np.nan)
         self.P_simple = np.full(n_t + 1, np.nan)
         self.H = np.full(max(n_t, 1), np.nan)
@@ -228,7 +268,7 @@ class SeriesBuilder:
         self.I_P_faces = np.full((max(n_t, 1), 6), np.nan)
         self.s = np.full(max(n_t, 1), np.nan)
         self._prev = None        # previous window
-        self._prev_h_psiI = None  # H psi_I^{n-1/2} for the current window
+        self._prevprev_gradI = None  # gradI^{n-3/2} for the current window
         self._steps = 0
 
     def record(self, window):
@@ -237,15 +277,12 @@ class SeriesBuilder:
         n = window.n
         v = ops.metrics.v
 
-        self.P[n] = total_probability(window.psiR_n, window.psiI_nm, ops,
-                                      dt, h_psiR=window.h_psiR_n)
-        self.P_simple[n] = probability_simple(window.psiR_n, window.psiI_nm,
-                                              ops)
+        p_simple = probability_simple(window.psiR_n, window.psiI_nm, ops)
+        self.P_simple[n] = p_simple
+        self.P[n] = p_simple - (dt / ops.constants.hbar) * _dot(
+            window.psiI_nm, window.h_psiR_n)
 
-        avg_r = 0.5 * (window.psiR_np1 + window.psiR_n)
-        avg_i = 0.5 * (window.psiI_np + window.psiI_nm)
-        by_face = probability_current_by_face(
-            ops, avg_r, avg_i, window.gradR_n, window.gradI_np)
+        by_face = probability_current_by_face(ops, window, self.faces)
         self.I_P_faces[n] = [by_face[f] for f in FACES]
         self.I_P[n] = float(sum(by_face[f] for f in FACES))
 
@@ -265,17 +302,12 @@ class SeriesBuilder:
             # window's gradR^n; valid once gradI^{n-3/2} exists.
             m = n - 1
             if m >= 1 and prev.n == m and self._prevprev_gradI is not None:
-                grad_r_avg = 0.5 * (window.gradR_n + prev.gradR_n)
-                grad_i_avg = 0.5 * (prev.gradI_np + self._prevprev_gradI)
                 self.s[m] = supplied_power(
-                    ops, prev.psiR_np1 - prev.psiR_n,
-                    prev.psiI_np - prev.psiI_nm,
-                    grad_r_avg, grad_i_avg, dt)
+                    ops, prev, window.gradR_n, self._prevprev_gradI, dt,
+                    self.faces)
         self._prevprev_gradI = prev.gradI_np if prev is not None else None
         self._prev = window
         self._steps = n + 1
-
-    _prevprev_gradI = None
 
     def finish(self, final_state):
         """Close the series, evaluating the final-step probability."""

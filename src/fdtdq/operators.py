@@ -125,14 +125,15 @@ class DiscreteOperators:
 
     # ---- hanging-variable vector layout -------------------------------
 
+    def face_block(self, b, face):
+        """One face's block of a flat hanging-variable vector, as a 2D view."""
+        o = self._offsets[face]
+        return b[o:o + self.grid.face_size(face)].reshape(
+            self.grid.face_shape(face))
+
     def split_hanging(self, b):
         """Split a flat hanging-variable vector into per-face 2D arrays."""
-        out = {}
-        for f in FACES:
-            o = self._offsets[f]
-            n = self.grid.face_size(f)
-            out[f] = b[o:o + n].reshape(self.grid.face_shape(f))
-        return out
+        return {f: self.face_block(b, f) for f in FACES}
 
     def join_hanging(self, by_face):
         """Inverse of split_hanging."""
@@ -161,15 +162,19 @@ class DiscreteOperators:
         out[1:, :, :] += g
         return out.reshape(-1)
 
-    def apply_Hbot(self, b):
-        """H_bot b: scatter hanging variables onto boundary nodes."""
+    def apply_Hbot(self, b, faces=FACES):
+        """H_bot b: scatter hanging variables onto boundary nodes.
+
+        Only the listed faces are scattered; the result equals the full
+        H_bot b whenever b is zero on every other face (Dirichlet-zero and
+        Neumann-zero faces), which is how the stepper calls it.
+        """
         if b.size != self.grid.n_hanging:
             raise ValueError("vector length does not match hanging count")
         out = np.zeros(self.grid.node_shape)
-        by_face = self.split_hanging(b)
-        for f in FACES:
+        for f in faces:
             out[face_node_slices(self.grid, f)] += \
-                self.face_coeff[f] * by_face[f]
+                self.face_coeff[f] * self.face_block(b, f)
         return out.reshape(-1)
 
     def apply_Hbot_T(self, v):

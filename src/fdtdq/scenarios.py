@@ -31,6 +31,31 @@ from .stepper import (DIRICHLET0, INTERFACE, NEUMANN0, PRESCRIBED,
                       BoundaryCondition, StaggeredState)
 
 
+# Largest distance of length / cell from an integer that still counts as
+# an exact fit; every shipped configuration fits to about 1e-14.
+CELL_FIT_TOL = 1e-9
+
+
+class GeometryError(ValueError):
+    """A scenario geometry that the grid or the mode table cannot represent."""
+
+
+def _cells_along(length, cell, name):
+    """Number of cells of size cell spanning length, which must fit exactly.
+
+    A length that is not a whole number of cells would put the sampled
+    boundary nodes off the physical walls (where the analytic modes vanish
+    or are matched), so it is rejected instead of rounded.
+    """
+    ratio = length / cell
+    count = int(round(ratio))
+    if count < 1 or abs(ratio - count) > CELL_FIT_TOL:
+        raise GeometryError(
+            f"{name} = {length:.6g} m is not a whole number of cells of "
+            f"{cell:.6g} m (ratio {ratio:.10g})")
+    return count
+
+
 @dataclass
 class PreparedRun:
     """Everything needed to drive a single-region scenario."""
@@ -150,6 +175,7 @@ class GaussianBarrierSpec:
         self.constants = constants
         self.dt_factor = dt_factor
         self.horizon = horizon
+        self.grid()  # fails unless the cell fits every length
 
         kbar = 2.0 * np.pi / lambda_bar
         sigma = kbar / 10.0
@@ -166,8 +192,9 @@ class GaussianBarrierSpec:
 
     def grid(self):
         c = self.cell
-        return RegionGrid(int(round(self.lx / c)), int(round(self.ly / c)),
-                          int(round(self.lz / c)), c, c, c)
+        return RegionGrid(_cells_along(self.lx, c, "lx"),
+                          _cells_along(self.ly, c, "ly"),
+                          _cells_along(self.lz, c, "lz"), c, c, c)
 
     def potential(self, grid):
         a, u0 = self.a, self.u0
@@ -370,6 +397,10 @@ class TunnelingSpec:
     dt_factor: float = 0.999
     u0: Optional[float] = None
 
+    def __post_init__(self):
+        for region in TUNNELING_REGIONS:
+            self.region_grid(region)  # fails unless the cell fits
+
     @property
     def barrier_height(self):
         """Barrier potential (J); the default inverts the closed-form
@@ -386,9 +417,10 @@ class TunnelingSpec:
 
     def region_grid(self, region):
         c = self.cell
-        return RegionGrid(int(round(self.region_length(region) / c)),
-                          int(round(self.ly / c)),
-                          int(round(self.lz / c)), c, c, c)
+        return RegionGrid(
+            _cells_along(self.region_length(region), c, f"lx_{region}"),
+            _cells_along(self.ly, c, "ly"), _cells_along(self.lz, c, "lz"),
+            c, c, c)
 
     def region_potential(self, region, grid):
         value = self.barrier_height if region == "barrier" else 0.0
@@ -422,7 +454,8 @@ def _matching_residual(spec, e_x, even):
     """Zero when e_x satisfies the interface matching condition."""
     c = spec.constants
     if not spec.lx_reactant == spec.lx_product:
-        raise ValueError("matching condition assumes equal outer lengths")
+        raise GeometryError(
+            "matching condition assumes equal outer lengths")
     l = spec.lx_reactant
     w = spec.lx_barrier
     k = np.sqrt(2.0 * c.mass * e_x) / c.hbar
@@ -442,7 +475,7 @@ def tunneling_mode_energies(spec, bracket_rel=5e-3):
         f_lo = _matching_residual(spec, lo, even)
         f_hi = _matching_residual(spec, hi, even)
         if f_lo * f_hi > 0.0:
-            raise ValueError(
+            raise GeometryError(
                 f"no sign change in bracket for x-energy {i + 1}; "
                 "geometry inconsistent with the tabulated values")
         out.append(brentq(lambda e: _matching_residual(spec, e, even),

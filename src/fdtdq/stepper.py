@@ -11,10 +11,12 @@ advances the imaginary part and then the real part:
 Hanging variables are supplied per face: zero for isolated (Neumann-zero)
 faces, sampled from a source for driven faces, and unused on Dirichlet-zero
 faces, whose node samples are pinned to zero and skipped by the update.
+Only the driven faces carry nonzero hanging data into the update, so H_bot
+is scattered over those faces alone.
 """
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -61,6 +63,21 @@ class BoundaryCondition:
             if kind == PRESCRIBED and f not in self.sources:
                 raise ValueError(f"prescribed face {f} has no source")
 
+    @property
+    def driven_faces(self):
+        """Faces whose hanging variables enter the update (prescribed)."""
+        return tuple(f for f in FACES if self.kinds[f] == PRESCRIBED)
+
+    @property
+    def flux_faces(self):
+        """Faces that can carry boundary flux: prescribed or interface.
+
+        Dirichlet-zero and Neumann-zero faces have identically zero hanging
+        variables, so they contribute nothing to I_P or s.
+        """
+        return tuple(f for f in FACES
+                     if self.kinds[f] in (PRESCRIBED, INTERFACE))
+
     @classmethod
     def all_dirichlet(cls):
         return cls({f: DIRICHLET0 for f in FACES})
@@ -82,17 +99,12 @@ class BoundaryCondition:
 
         part selects the real or imaginary component of the sources.
         """
-        grid = ops.grid
-        by_face = {}
-        for f in FACES:
-            shape = grid.face_shape(f)
-            if self.kinds[f] == PRESCRIBED:
-                vals = np.asarray(self.sources[f](f, t))
-                vals = vals.real if part == "real" else vals.imag
-                by_face[f] = np.broadcast_to(vals.astype(float), shape)
-            else:
-                by_face[f] = np.zeros(shape)
-        return ops.join_hanging(by_face)
+        out = ops.zero_hanging()
+        for f in self.driven_faces:
+            vals = np.asarray(self.sources[f](f, t))
+            ops.face_block(out, f)[...] = \
+                vals.real if part == "real" else vals.imag
+        return out
 
 
 @dataclass
@@ -133,12 +145,10 @@ class StepWindow:
     h_psiI_np: np.ndarray    # H psi_I^{n+1/2}
 
 
-def step(state, ops, boundary, dt, pinned=None, hanging=None):
+def step(state, ops, boundary, dt, pinned=None):
     """Advance one leap-frog step; returns (new state, StepWindow).
 
-    pinned may pass a precomputed Dirichlet mask (3D boolean).  hanging may
-    pass precomputed (gradR_n, gradI_np) vectors, bypassing the boundary
-    condition's sources.
+    pinned may pass a precomputed Dirichlet mask (3D boolean).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -146,21 +156,28 @@ def step(state, ops, boundary, dt, pinned=None, hanging=None):
     hbar = ops.constants.hbar
     if pinned is None:
         pinned = boundary.pinned_mask(grid)
-    if hanging is None:
-        grad_r = boundary.hanging_at(ops, state.n * dt, part="real")
-        grad_i = boundary.hanging_at(ops, (state.n + 0.5) * dt, part="imag")
-    else:
-        grad_r, grad_i = hanging
+    driven = boundary.driven_faces
+    grad_r = boundary.hanging_at(ops, state.n * dt, part="real")
+    grad_i = boundary.hanging_at(ops, (state.n + 0.5) * dt, part="imag")
     vflat = ops.v3.reshape(-1)
     pinned_flat = pinned.reshape(-1)
+    scale = dt / hbar
 
+    # Right-hand sides are built in place: H_bot g - H psi_R, then
+    # H psi_I - H_bot g (the same roundings as the textbook expressions).
     h_r = ops.apply_H(state.psiR)
-    upd = (dt / hbar) * (-h_r + ops.apply_Hbot(grad_r)) / vflat
+    upd = ops.apply_Hbot(grad_r, driven)
+    upd -= h_r
+    upd *= scale
+    upd /= vflat
     upd[pinned_flat] = 0.0
     psi_i_new = state.psiI + upd
 
     h_i = ops.apply_H(psi_i_new)
-    upd = (dt / hbar) * (h_i - ops.apply_Hbot(grad_i)) / vflat
+    upd = ops.apply_Hbot(grad_i, driven)
+    np.subtract(h_i, upd, out=upd)
+    upd *= scale
+    upd /= vflat
     upd[pinned_flat] = 0.0
     psi_r_new = state.psiR + upd
 
@@ -192,7 +209,7 @@ def run(state0, ops, boundary, dt, n_t, observers=(), guard_factor=1e6):
     if n_t < 0:
         raise ValueError("n_t must be nonnegative")
     pinned = boundary.pinned_mask(ops.grid)
-    builder = SeriesBuilder(ops, dt, n_t)
+    builder = SeriesBuilder(ops, dt, n_t, boundary.flux_faces)
     state = state0
     guard = None
     if guard_factor is not None:

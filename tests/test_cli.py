@@ -222,6 +222,62 @@ def test_thread_flag_validation(tmp_path):
                  str(tmp_path / "t1"), "--threads", "1"]) == EXIT_OK
 
 
+def test_thread_env_var_must_be_an_integer(tmp_path, monkeypatch, capsys):
+    config = write_config(tmp_path, {
+        "scenario": "infinite_well", "n_cells": 6, "n_t": 1,
+    })
+    monkeypatch.setenv("FDTDQ_THREADS", "x")
+    assert main(["run", "--config", config, "--out",
+                 str(tmp_path / "t")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.strip()
+    assert err.splitlines() == [
+        "configuration error: FDTDQ_THREADS must be an integer, got 'x'"]
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("key,settings", [
+    ("lz", {"scenario": "tunneling", "u0": 1.6021766551777526e-19,
+            "cell": {"value": 1.0 / 6.0, "unit": "angstrom"}}),
+    ("lx", {"scenario": "barrier", "cell": {"value": 0.3, "unit": "nm"}}),
+])
+@pytest.mark.parametrize("command", ["run", "cfl"])
+def test_cell_must_divide_region_lengths(tmp_path, capsys, command, key,
+                                         settings):
+    # A 1/6 A cell spans 5 cells = 0.833 A of the 0.9 A tunneling depth:
+    # the pinned wall nodes would sit inside the modes and break the
+    # probability balance, so the config is refused rather than rounded.
+    config = write_config(tmp_path, {**settings, "n_t": 5})
+    out = tmp_path / "o"
+    argv = [command, "--config", config, "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: {key} = ")
+    assert "not a whole number of cells" in err[0]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("cell,reason", [
+    (1.0 / 6.0, "not a whole number of cells"),
+    (0.1, "no sign change in bracket"),
+])
+def test_tunneling_geometry_without_modes_is_config_error(tmp_path, capsys,
+                                                          cell, reason):
+    # With the default barrier height (which depends on the cell), neither
+    # cell reproduces the tabulated mode energies: 1/6 A fails the cell
+    # check first, 0.1 A fits the lengths but the root bracket has no sign
+    # change.  Both used to end in a ValueError traceback.
+    config = write_config(tmp_path, {
+        "scenario": "tunneling", "n_t": 5,
+        "cell": {"value": cell, "unit": "angstrom"},
+    })
+    assert main(["run", "--config", config,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert reason in err[0]
+
+
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_VERIFY_FAILED, EXIT_CONFIG_ERROR,
                 EXIT_DIVERGED}) == 4

@@ -13,7 +13,7 @@ from fdtdq.grid import FACES, RegionGrid, PotentialField
 from fdtdq.operators import DiscreteOperators
 from fdtdq.stability import cfl_limit
 from fdtdq.stepper import (BoundaryCondition, NEUMANN0, PRESCRIBED,
-                           StaggeredState, run)
+                           StaggeredState, StepWindow, run)
 
 
 def make_ops(nx=4, ny=3, nz=2, seed=0):
@@ -139,6 +139,13 @@ def test_residuals_zero_at_origin_and_consistent():
     assert np.allclose(res_p2, res_p / 2.0, equal_nan=True)
 
 
+def window_of(psiR_n, psiR_np1, psiI_nm, psiI_np, grad_r, grad_i):
+    """A step window holding just what the boundary fluxes read."""
+    return StepWindow(n=0, psiR_n=psiR_n, psiR_np1=psiR_np1,
+                      psiI_nm=psiI_nm, psiI_np=psiI_np, gradR_n=grad_r,
+                      gradI_np=grad_i, h_psiR_n=None, h_psiI_np=None)
+
+
 def test_current_sign_convention():
     # A positive outward derivative of the real part on the east face with
     # positive psi_I there produces negative I_P (probability flowing in).
@@ -149,8 +156,8 @@ def test_current_sign_convention():
     faces = ops.split_hanging(grad_r)
     faces["E"] = np.ones(ops.grid.face_shape("E"))
     grad_r = ops.join_hanging(faces)
-    by_face = probability_current_by_face(ops, r, i, grad_r,
-                                          ops.zero_hanging())
+    by_face = probability_current_by_face(
+        ops, window_of(r, r, i, i, grad_r, ops.zero_hanging()))
     assert by_face["E"] < 0.0
     assert all(by_face[f] == 0.0 for f in FACES if f != "E")
 
@@ -158,9 +165,12 @@ def test_current_sign_convention():
 def test_supplied_power_zero_for_isolated_box():
     ops = make_ops(seed=16)
     rng = np.random.default_rng(17)
-    val = supplied_power(ops, rng.standard_normal(ops.grid.n_nodes),
-                         rng.standard_normal(ops.grid.n_nodes),
-                         ops.zero_hanging(), ops.zero_hanging(), 1e-18)
+    zero = np.zeros(ops.grid.n_nodes)
+    window = window_of(zero, rng.standard_normal(ops.grid.n_nodes),
+                       zero, rng.standard_normal(ops.grid.n_nodes),
+                       ops.zero_hanging(), ops.zero_hanging())
+    val = supplied_power(ops, window, ops.zero_hanging(),
+                         ops.zero_hanging(), 1e-18)
     assert val == 0.0
 
 

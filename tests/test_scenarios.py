@@ -294,3 +294,13 @@ def test_matching_rejects_asymmetric_outer_regions():
     bad = sc.TunnelingSpec(lx_reactant=1e-10, lx_product=2e-10)
     with pytest.raises(ValueError):
         sc.tunneling_mode_energies(bad)
+
+
+def test_cell_must_fit_every_region_length():
+    with pytest.raises(sc.GeometryError, match="lz"):
+        sc.TunnelingSpec(cell=1e-10 / 6.0)
+    with pytest.raises(sc.GeometryError, match="lx"):
+        sc.GaussianBarrierSpec(cell=0.3e-9)
+    # Lengths that fit up to float roundoff are accepted.
+    assert sc.TunnelingSpec().region_grid("barrier").nx == 15
+    assert sc.GaussianBarrierSpec().grid().nx == 200
