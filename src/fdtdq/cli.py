@@ -48,23 +48,93 @@ class ConfigError(ValueError):
 
 
 def _quantity(obj):
-    """A config number: plain (SI) or {"value": v, "unit": u}."""
+    """A finite config number: plain (SI) or {"value": v, "unit": u}."""
+    number, unit = obj, "1"
     if isinstance(obj, dict):
-        try:
-            return to_si(obj["value"], obj.get("unit", "1"))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad quantity {obj!r}: {exc}") from None
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return float(obj)
-    raise ConfigError(f"expected a number or value/unit object, got {obj!r}")
+        if "value" not in obj or set(obj) - {"value", "unit"}:
+            raise ConfigError(
+                f"bad quantity {obj!r}: expected the keys value and unit")
+        number, unit = obj["value"], obj.get("unit", "1")
+    if isinstance(number, bool) or not isinstance(number, (int, float)):
+        raise ConfigError(
+            f"expected a number or value/unit object, got {obj!r}")
+    try:
+        value = to_si(number, unit)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad quantity {obj!r}: {exc}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {obj!r}")
+    return value
+
+
+def _number(key, obj):
+    try:
+        return _quantity(obj)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _positive(key, obj):
+    value = _number(key, obj)
+    if not value > 0.0:
+        raise ConfigError(f"{key} must be positive, got {value:g}")
+    return value
+
+
+def _integer(key, obj, minimum):
+    if isinstance(obj, float) and obj.is_integer():
+        obj = int(obj)
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ConfigError(f"{key} must be an integer, got {obj!r}")
+    if obj < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {obj}")
+    return obj
+
+
+def _cell_count(key, obj):
+    return _integer(key, obj, 1)
+
+
+# Scenario name -> (spec class, {config key: parser}).  The keys are the
+# spec's constructor arguments; together with RUN_KEYS they are the only
+# keys a config of that scenario may hold.
+SCENARIOS = {
+    "infinite_well": (sc.InfiniteWellSpec, {
+        "a": _positive, "n_cells": _cell_count, "dt_factor": _positive,
+        "phase": _number}),
+    "barrier": (sc.GaussianBarrierSpec, {
+        "x0": _number, "lambda_bar": _positive, "u0": _number, "a": _number,
+        "lx": _positive, "ly": _positive, "lz": _positive,
+        "cell": _positive, "horizon": _positive, "dt_factor": _positive}),
+    "tunneling": (sc.TunnelingSpec, {
+        "lx_reactant": _positive, "lx_barrier": _positive,
+        "lx_product": _positive, "ly": _positive, "lz": _positive,
+        "cell": _positive, "u0": _positive, "temperature": _positive,
+        "dt_factor": _positive}),
+}
+
+RUN_KEYS = ("scenario", "n_t", "diag_stride", "checkpoint_interval",
+            "guard_factor", "allow_unstable")
+
+# Input size limits.  The diagnostics keep about 100 bytes per step and
+# the stepper about 20 node-length float64 arrays per region, so these
+# bound a run to roughly 1 GB and 2 GB.
+MAX_STEPS = 10**7
+MAX_REGION_NODES = 10**7
+
+# Default simulated time of a tunneling run (s).
+TUNNELING_HORIZON = 1e-12
 
 
 @dataclass
 class RunConfig:
-    """Parsed run settings common to all scenarios."""
+    """Parsed run settings common to all scenarios, plus the scenario spec.
+
+    n_t is resolved: the config's value or the scenario's default.
+    """
 
     scenario: str
-    raw: dict
+    spec: object = None
     n_t: int = None
     diag_stride: int = 1
     checkpoint_interval: int = 0
@@ -73,66 +143,68 @@ class RunConfig:
 
     @classmethod
     def load(cls, path, stride=None, allow_unstable=False):
+        """Read and validate a config; any bad or unknown key is a
+        ConfigError."""
         try:
             with open(path) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         if "scenario" not in raw:
             raise ConfigError("config is missing the 'scenario' key")
-        cfg = cls(scenario=raw["scenario"], raw=raw)
-        if "n_t" in raw:
-            cfg.n_t = int(raw["n_t"])
-            if cfg.n_t < 0:
-                raise ConfigError("n_t must be nonnegative")
-        cfg.diag_stride = int(raw.get("diag_stride", 1))
+        scenario = raw["scenario"]
+        if not isinstance(scenario, str) or scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {scenario!r}")
+        spec_cls, parsers = SCENARIOS[scenario]
+        unknown = sorted(set(raw) - set(RUN_KEYS) - set(parsers))
+        if unknown:
+            raise ConfigError(
+                f"unknown config key {unknown[0]!r} for scenario "
+                f"{scenario!r}; accepted keys: "
+                f"{', '.join(sorted(RUN_KEYS + tuple(parsers)))}")
+
+        cfg = cls(scenario=scenario)
+        cfg.diag_stride = _integer("diag_stride", raw.get("diag_stride", 1),
+                                   1)
         if stride is not None:
-            cfg.diag_stride = stride
-        if cfg.diag_stride < 1:
-            raise ConfigError("diag_stride must be >= 1")
-        cfg.checkpoint_interval = int(raw.get("checkpoint_interval", 0))
+            cfg.diag_stride = _integer("--stride", stride, 1)
+        cfg.checkpoint_interval = _integer(
+            "checkpoint_interval", raw.get("checkpoint_interval", 0), 0)
         if "guard_factor" in raw:
-            cfg.guard_factor = float(raw["guard_factor"])
-        cfg.allow_unstable = allow_unstable or bool(
-            raw.get("allow_unstable", False))
+            cfg.guard_factor = _positive("guard_factor", raw["guard_factor"])
+        unstable = raw.get("allow_unstable", False)
+        if not isinstance(unstable, bool):
+            raise ConfigError(
+                f"allow_unstable must be true or false, got {unstable!r}")
+        cfg.allow_unstable = allow_unstable or unstable
+        cfg.spec = spec_cls(**{key: parse(key, raw[key])
+                               for key, parse in parsers.items()
+                               if key in raw})
+        for name, grid in _region_grids(cfg).items():
+            if grid.n_nodes > MAX_REGION_NODES:
+                raise ConfigError(
+                    f"region {name!r} has {grid.n_nodes} nodes, more than "
+                    f"{MAX_REGION_NODES}")
+        if "n_t" in raw:
+            cfg.n_t = _integer("n_t", raw["n_t"], 0)
+        elif scenario == "tunneling":
+            cfg.n_t = int(round(TUNNELING_HORIZON / cfg.spec.time_step()))
+        else:
+            cfg.n_t = cfg.spec.default_n_t()
+        if cfg.n_t > MAX_STEPS:
+            raise ConfigError(
+                f"n_t = {cfg.n_t} is more than {MAX_STEPS} steps")
         return cfg
 
 
-def _well_spec(raw):
-    kw = {}
-    if "a" in raw:
-        kw["a"] = _quantity(raw["a"])
-    if "n_cells" in raw:
-        kw["n_cells"] = int(raw["n_cells"])
-    if "dt_factor" in raw:
-        kw["dt_factor"] = float(raw["dt_factor"])
-    if "phase" in raw:
-        kw["phase"] = float(raw["phase"])
-    return sc.InfiniteWellSpec(**kw)
-
-
-def _barrier_spec(raw):
-    kw = {}
-    for key in ("x0", "lambda_bar", "u0", "a", "lx", "ly", "lz", "cell",
-                "horizon"):
-        if key in raw:
-            kw[key] = _quantity(raw[key])
-    if "dt_factor" in raw:
-        kw["dt_factor"] = float(raw["dt_factor"])
-    return sc.GaussianBarrierSpec(**kw)
-
-
-def _tunneling_spec(raw):
-    kw = {}
-    for key in ("lx_reactant", "lx_barrier", "lx_product", "ly", "lz",
-                "cell", "u0"):
-        if key in raw:
-            kw[key] = _quantity(raw[key])
-    if "temperature" in raw:
-        kw["temperature"] = _quantity(raw["temperature"])
-    if "dt_factor" in raw:
-        kw["dt_factor"] = float(raw["dt_factor"])
-    return sc.TunnelingSpec(**kw)
+def _region_grids(cfg):
+    """Region name -> grid of the configured scenario."""
+    if cfg.scenario == "tunneling":
+        return {r: cfg.spec.region_grid(r) for r in sc.TUNNELING_REGIONS}
+    name = "well" if cfg.scenario == "infinite_well" else "barrier"
+    return {name: cfg.spec.grid()}
 
 
 def _finite_extreme(arr, fn):
@@ -159,19 +231,28 @@ def _region_summary(series):
     }
 
 
-def _checkpoint_observer(out_dir, prefix, interval):
+def _checkpoint_observer(out_dir, interval, coupled=False):
+    """Observer writing the state every interval steps.
+
+    For run it writes checkpoint_{n:08d}.npz; for run_coupled (coupled
+    True, the observer gets the per-region window dict) one
+    {region}_checkpoint_{n:08d}.npz per region.
+    """
     if interval <= 0:
         return ()
 
-    def observer(window):
-        n = window.n + 1
-        if n % interval == 0:
-            state = StaggeredState(
-                psiR=window.psiR_np1, psiI=window.psiI_np, n=n,
-                psiR_prev=window.psiR_n, gradR_prev=window.gradR_n,
-                gradI_prev=window.gradI_np)
-            save_checkpoint(out_dir / f"{prefix}checkpoint_{n:08d}.npz",
-                            state)
+    def observer(arg):
+        windows = ({f"{name}_": w for name, w in arg.items()} if coupled
+                   else {"": arg})
+        for prefix, window in windows.items():
+            n = window.n + 1
+            if n % interval == 0:
+                state = StaggeredState(
+                    psiR=window.psiR_np1, psiI=window.psiI_np, n=n,
+                    psiR_prev=window.psiR_n, gradR_prev=window.gradR_n,
+                    gradI_prev=window.gradI_np)
+                save_checkpoint(
+                    out_dir / f"{prefix}checkpoint_{n:08d}.npz", state)
 
     return (observer,)
 
@@ -183,7 +264,7 @@ def _run_single(cfg, prep, out_dir, region_name="region"):
         _, series = run(prep.state, prep.ops, prep.boundary, prep.dt,
                         prep.n_t, guard_factor=cfg.guard_factor,
                         observers=_checkpoint_observer(
-                            out_dir, "", cfg.checkpoint_interval))
+                            out_dir, cfg.checkpoint_interval))
     except DivergenceError as exc:
         series = exc.series
         diverged_at = exc.step
@@ -216,19 +297,15 @@ def cmd_run(args):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.scenario == "infinite_well":
-        spec = _well_spec(cfg.raw)
-        prep = sc.prepare_infinite_well(spec, n_t=cfg.n_t)
+        prep = sc.prepare_infinite_well(cfg.spec, n_t=cfg.n_t)
         _check_single_region_dt(prep, cfg)
         code, summary = _run_single(cfg, prep, out_dir, "well")
     elif cfg.scenario == "barrier":
-        spec = _barrier_spec(cfg.raw)
-        prep = sc.prepare_barrier(spec, n_t=cfg.n_t)
+        prep = sc.prepare_barrier(cfg.spec, n_t=cfg.n_t)
         _check_single_region_dt(prep, cfg)
-        code, summary = _run_barrier(cfg, spec, prep, out_dir)
-    elif cfg.scenario == "tunneling":
-        code, summary = _run_tunneling(cfg, out_dir)
+        code, summary = _run_barrier(cfg, prep, out_dir)
     else:
-        raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+        code, summary = _run_tunneling(cfg, out_dir)
 
     summary_path = out_dir / "summary.json"
     with open(summary_path, "w") as fh:
@@ -252,13 +329,14 @@ def _check_single_region_dt(prep, cfg):
             f"{gen:.6e} s; pass --allow-unstable to run anyway")
 
 
-def _run_barrier(cfg, spec, prep, out_dir):
+def _run_barrier(cfg, prep, out_dir):
+    spec = cfg.spec
     diverged_at = None
     try:
         _, series = run(prep.state, prep.ops, prep.boundary, prep.dt,
                         prep.n_t, guard_factor=cfg.guard_factor,
                         observers=_checkpoint_observer(
-                            out_dir, "", cfg.checkpoint_interval))
+                            out_dir, cfg.checkpoint_interval))
     except DivergenceError as exc:
         series = exc.series
         diverged_at = exc.step
@@ -286,14 +364,16 @@ def _run_barrier(cfg, spec, prep, out_dir):
 
 
 def _run_tunneling(cfg, out_dir):
-    spec = _tunneling_spec(cfg.raw)
+    spec = cfg.spec
     graph, dt = sc.build_tunneling_graph(spec)
-    n_t = cfg.n_t if cfg.n_t is not None else int(round(1e-12 / dt))
+    n_t = cfg.n_t
     diverged_at = None
     try:
-        series_map = run_coupled(graph, dt, n_t,
-                                 guard_factor=cfg.guard_factor,
-                                 allow_unstable=cfg.allow_unstable)
+        series_map = run_coupled(
+            graph, dt, n_t, guard_factor=cfg.guard_factor,
+            allow_unstable=cfg.allow_unstable,
+            observers=_checkpoint_observer(
+                out_dir, cfg.checkpoint_interval, coupled=True))
     except UnstableTimeStep as exc:
         raise ConfigError(str(exc)) from None
     except DivergenceError as exc:
@@ -326,26 +406,14 @@ def _run_tunneling(cfg, out_dir):
 
 def _scenario_region_setups(cfg):
     """(name, grid, potential, constants, dt) per region of a scenario."""
-    if cfg.scenario == "infinite_well":
-        spec = _well_spec(cfg.raw)
-        grid = spec.grid()
-        return [("well", grid, spec.potential(grid), spec.constants,
-                 spec.time_step())]
-    if cfg.scenario == "barrier":
-        spec = _barrier_spec(cfg.raw)
-        grid = spec.grid()
-        return [("barrier", grid, spec.potential(grid), spec.constants,
-                 spec.time_step())]
-    if cfg.scenario == "tunneling":
-        spec = _tunneling_spec(cfg.raw)
-        dt = spec.time_step()
-        out = []
-        for region in sc.TUNNELING_REGIONS:
-            grid = spec.region_grid(region)
-            out.append((region, grid, spec.region_potential(region, grid),
-                        spec.constants, dt))
-        return out
-    raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+    spec = cfg.spec
+    dt = spec.time_step()
+    out = []
+    for name, grid in _region_grids(cfg).items():
+        potential = (spec.region_potential(name, grid)
+                     if cfg.scenario == "tunneling" else spec.potential(grid))
+        out.append((name, grid, potential, spec.constants, dt))
+    return out
 
 
 def cmd_cfl(args):

@@ -23,7 +23,7 @@ import numpy as np
 from .grid import OPPOSITE_FACE, FACE_AXIS, face_node_slices
 from .operators import DiscreteOperators
 from .stepper import (INTERFACE, BoundaryCondition, DivergenceError,
-                      StaggeredState, StepWindow)
+                      StaggeredState, StepWindow, project_pinned)
 from .stability import cfl_limit, cfl_gen_limit
 
 
@@ -141,8 +141,8 @@ def _merge_interface_faces(graph, rhs, psi_old, psi_new, dt):
     for itf in graph.interfaces:
         ra = graph.regions[itf.region_a]
         rb = graph.regions[itf.region_b]
-        sla = face_node_slices(ra.grid, itf.face_a)
-        slb = face_node_slices(rb.grid, itf.face_b)
+        sla = ra.ops.face_slices[itf.face_a]
+        slb = rb.ops.face_slices[itf.face_b]
         denom = ra.ops.v3[sla] + rb.ops.v3[slb]
         base = psi_old[itf.region_a].reshape(ra.grid.node_shape)[sla]
         rhs_sum = rhs[itf.region_a].reshape(ra.grid.node_shape)[sla] \
@@ -165,7 +165,7 @@ def recover_interface_hanging(region, face, psi_before, psi_after,
         gradI = ((H psi_I)|face - hbar V'' dpsi/dt) / (kin * n * S''_b).
     """
     grid = region.grid
-    sl = face_node_slices(grid, face)
+    sl = region.ops.face_slices[face]
     coeff = region.ops.face_coeff[face]
     v_face = region.ops.v3[sl]
     dpsi = (psi_after.reshape(grid.node_shape)[sl]
@@ -234,10 +234,8 @@ def coupled_step(graph, dt):
             gi = recover_interface_hanging(
                 r, face, r.state.psiR, psi_r_new[name], h_i[name], dt,
                 imaginary_half=False)
-            o = r.grid.hanging_offsets()[face]
-            m = r.grid.face_size(face)
-            grad_r_full[name][o:o + m] = gr.reshape(-1)
-            grad_i_full[name][o:o + m] = gi.reshape(-1)
+            r.ops.face_block(grad_r_full[name], face)[...] = gr
+            r.ops.face_block(grad_i_full[name], face)[...] = gi
 
     windows = {}
     for name, r in regs.items():
@@ -279,11 +277,12 @@ def run_coupled(graph, dt, n_t, guard_factor=1e6, allow_unstable=False,
                 observers=()):
     """Drive n_t coupled steps; returns dict region name -> series.
 
-    Observers are called as observer(windows) with the per-region window
-    dict after every step.  The divergence guard works as in the
-    single-region driver, with the norm taken over all regions; tripping
-    it raises DivergenceError with the partial per-region series attached
-    as exc.series.
+    Each region's samples on Dirichlet-pinned nodes are first set to zero
+    (see stepper.project_pinned).  Observers are called as
+    observer(windows) with the per-region window dict after every step.
+    The divergence guard works as in the single-region driver, with the
+    norm taken over all regions; tripping it raises DivergenceError with
+    the partial per-region series attached as exc.series.
     """
     from .diagnostics import SeriesBuilder
 
@@ -291,6 +290,8 @@ def run_coupled(graph, dt, n_t, guard_factor=1e6, allow_unstable=False,
         raise ValueError("n_t must be nonnegative")
     if not allow_unstable:
         enforce_time_step(graph, dt)
+    for r in graph.regions.values():
+        r.state = project_pinned(r.state, r.pinned)
     builders = {name: SeriesBuilder(r.ops, dt, n_t, r.boundary.flux_faces)
                 for name, r in graph.regions.items()}
 

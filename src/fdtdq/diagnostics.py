@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import FACES, face_node_slices
+from .grid import FACES
 
 CSV_COLUMNS = ("n", "t_seconds", "P", "P_simple",
                "I_P_total", "I_P_W", "I_P_E", "I_P_S", "I_P_N", "I_P_B",
@@ -95,7 +95,7 @@ def probability_current_by_face(ops, window, faces=FACES):
     two_over_hbar = 2.0 / ops.constants.hbar
     out = dict.fromkeys(FACES, 0.0)
     for f in faces:
-        sl = face_node_slices(grid, f)
+        sl = ops.face_slices[f]
         r_avg = 0.5 * (r_np1[sl] + r_n[sl])
         i_avg = 0.5 * (i_np[sl] + i_nm[sl])
         gr = ops.face_block(window.gradR_n, f)
@@ -125,7 +125,7 @@ def supplied_power(ops, window, grad_r_next, grad_i_prev, dt, faces=FACES):
     acc_r = 0.0
     acc_i = 0.0
     for f in faces:
-        sl = face_node_slices(grid, f)
+        sl = ops.face_slices[f]
         coeff = ops.face_coeff[f]
         gr_avg = 0.5 * (ops.face_block(grad_r_next, f)
                         + ops.face_block(window.gradR_n, f))

@@ -121,15 +121,22 @@ class DiscreteOperators:
         }
         self.face_coeff = {f: kin * FACE_SIGN[f] * face_weights[f]
                            for f in FACES}
-        self._offsets = grid.hanging_offsets()
+
+        # Hanging-vector layout: each face's (start, stop, 2D shape) and
+        # its node slices, fixed by the grid.
+        self.n_hanging = grid.n_hanging
+        self._face_layout = {}
+        for f, start in grid.hanging_offsets().items():
+            self._face_layout[f] = (start, start + grid.face_size(f),
+                                    grid.face_shape(f))
+        self.face_slices = {f: face_node_slices(grid, f) for f in FACES}
 
     # ---- hanging-variable vector layout -------------------------------
 
     def face_block(self, b, face):
         """One face's block of a flat hanging-variable vector, as a 2D view."""
-        o = self._offsets[face]
-        return b[o:o + self.grid.face_size(face)].reshape(
-            self.grid.face_shape(face))
+        start, stop, shape = self._face_layout[face]
+        return b[start:stop].reshape(shape)
 
     def split_hanging(self, b):
         """Split a flat hanging-variable vector into per-face 2D arrays."""
@@ -141,7 +148,7 @@ class DiscreteOperators:
             [np.asarray(by_face[f], dtype=float).reshape(-1) for f in FACES])
 
     def zero_hanging(self):
-        return np.zeros(self.grid.n_hanging)
+        return np.zeros(self.n_hanging)
 
     # ---- matrix-free applications --------------------------------------
 
@@ -169,11 +176,11 @@ class DiscreteOperators:
         H_bot b whenever b is zero on every other face (Dirichlet-zero and
         Neumann-zero faces), which is how the stepper calls it.
         """
-        if b.size != self.grid.n_hanging:
+        if b.size != self.n_hanging:
             raise ValueError("vector length does not match hanging count")
         out = np.zeros(self.grid.node_shape)
         for f in faces:
-            out[face_node_slices(self.grid, f)] += \
+            out[self.face_slices[f]] += \
                 self.face_coeff[f] * self.face_block(b, f)
         return out.reshape(-1)
 
@@ -183,7 +190,7 @@ class DiscreteOperators:
             raise ValueError("vector length does not match node count")
         psi = v.reshape(self.grid.node_shape)
         return self.join_hanging(
-            {f: self.face_coeff[f] * psi[face_node_slices(self.grid, f)]
+            {f: self.face_coeff[f] * psi[self.face_slices[f]]
              for f in FACES})
 
     def apply_sigma(self, v):
@@ -240,16 +247,3 @@ class DiscreteOperators:
         vs = self._v_inv_sqrt()
         return (vs[:, None] * h * vs[None, :]) / self.constants.hbar
 
-
-def dump_matrix_coo(matrix, path):
-    """Debug dump of a sparse matrix as 'row col value' text lines.
-
-    Indices are 1-based; values carry 17 significant digits.
-    """
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, val in zip(coo.row[order], coo.col[order],
-                             coo.data[order]):
-            fh.write(f"{r + 1} {c + 1} {val:.17g}\n")

@@ -219,28 +219,65 @@ class GaussianBarrierSpec:
         return self.ly * self.lz
 
 
-def _barrier_eval(spec, x, t, derivative):
-    """Analytic wavepacket (or its x-derivative) at positions x, time t."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    weights = spec.amps * np.exp(-1j * spec.omega * t)
-    out = np.zeros(x.shape, dtype=complex)
+def _barrier_incident(spec, xl, derivative):
+    """Incident and reflected per-mode factors at positions xl <= a."""
+    inc = np.exp(1j * np.outer(xl - spec.x0, spec.k))
+    ref = np.exp(1j * np.outer(2.0 * spec.a - spec.x0 - xl, spec.k))
+    if derivative:
+        inc = inc * (1j * spec.k)
+        ref = ref * (-1j * spec.k)
+    return inc, ref
+
+
+def _barrier_transmitted(spec, xr, derivative):
+    """Transmitted per-mode factors at positions xr > a, and the mode
+    coefficients T exp(i k (a - x0)) they carry."""
+    tran = np.exp(1j * np.outer(xr - spec.a, spec.K))
+    if derivative:
+        tran = tran * (1j * spec.K)
+    return tran, spec.T * np.exp(1j * spec.k * (spec.a - spec.x0))
+
+
+def _barrier_factors(spec, x, derivative):
+    """(left, inc, ref, tran, coef) at positions x; left masks x <= a."""
     left = x <= spec.a
-    if np.any(left):
-        xl = x[left]
-        inc = np.exp(1j * np.outer(xl - spec.x0, spec.k))
-        ref = np.exp(1j * np.outer(2.0 * spec.a - spec.x0 - xl, spec.k))
-        if derivative:
-            inc = inc * (1j * spec.k)
-            ref = ref * (-1j * spec.k)
-        out[left] = inc @ weights + ref @ (spec.R * weights)
-    right = ~left
-    if np.any(right):
-        xr = x[right]
-        tran = np.exp(1j * np.outer(xr - spec.a, spec.K))
-        if derivative:
-            tran = tran * (1j * spec.K)
-        coef = spec.T * np.exp(1j * spec.k * (spec.a - spec.x0))
-        out[right] = tran @ (coef * weights)
+    return (left, *_barrier_incident(spec, x[left], derivative),
+            *_barrier_transmitted(spec, x[~left], derivative))
+
+
+def _barrier_sum(spec, factors, weights):
+    """Mode sum at one time from _barrier_factors and the time weights."""
+    left, inc, ref, tran, coef = factors
+    out = np.empty(left.shape, dtype=complex)
+    out[left] = inc @ weights + ref @ (spec.R * weights)
+    out[~left] = tran @ (coef * weights)
+    return out
+
+
+def _barrier_eval(spec, x, t, derivative):
+    """Analytic wavepacket (or its x-derivative) at positions x.
+
+    t is one time, giving shape (len(x),), or an array of times, giving
+    (len(t), len(x)).  With an array of times the spatial factors are
+    built once per position and each value is summed on its own, so it is
+    bitwise equal to the single-position, single-time call; one time sums
+    all positions in a single product per side of the step.  The weights
+    amps exp(-i omega t) are formed time by time with the single-time
+    expression; one exponential over all times measured slower, as its
+    block-sized temporaries cost more than the per-time calls.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.ndim(t) == 0:
+        weights = spec.amps * np.exp(-1j * spec.omega * t)
+        return _barrier_sum(spec, _barrier_factors(spec, x, derivative),
+                            weights)
+    factors = [_barrier_factors(spec, x[j:j + 1], derivative)
+               for j in range(x.size)]
+    out = np.empty((len(t), x.size), dtype=complex)
+    for i, ti in enumerate(t):
+        weights = spec.amps * np.exp(-1j * spec.omega * ti)
+        for j, f in enumerate(factors):
+            out[i, j] = _barrier_sum(spec, f, weights)[0]
     return out
 
 
@@ -254,16 +291,64 @@ def barrier_gradient_x(spec, x, t):
     return _barrier_eval(spec, x, t, derivative=True)
 
 
-def barrier_sources(spec):
-    """Prescribed hanging-variable sources for the west and east faces."""
+# Steps whose boundary sources one BarrierDrive fill evaluates.
+SOURCE_BLOCK_STEPS = 64
 
-    def west(face, t):
-        return barrier_gradient_x(spec, 0.0, t)[0]
 
-    def east(face, t):
-        return barrier_gradient_x(spec, spec.lx, t)[0]
+class BarrierDrive:
+    """Prescribed x-derivatives on the west and east faces, a block at a time.
 
-    return {"W": west, "E": east}
+    A source callable (face, t) for both prescribed faces.  Asked for a
+    step time n dt or (n + 1/2) dt that it does not hold, it evaluates both
+    faces at the integer and half-step times of SOURCE_BLOCK_STEPS steps
+    from n in one barrier_gradient_x call.  Those times are formed exactly
+    as the steppers form them, so their later lookups hit; any other t is
+    evaluated directly.  Every value is bitwise equal to
+    barrier_gradient_x(spec, x_face, t)[0].
+    """
+
+    def __init__(self, spec, dt):
+        if not dt > 0.0:
+            raise ValueError("dt must be positive")
+        self.spec = spec
+        self.dt = dt
+        self._x = (0.0, spec.lx)   # W, E: the table's columns
+        self._row = {}             # time -> row of the table
+        self._values = None
+
+    def __call__(self, face, t):
+        col = ("W", "E").index(face)
+        row = self._row.get(t)
+        if row is None:
+            n = self._step_of(t)
+            if n is None:
+                return barrier_gradient_x(self.spec, self._x[col], t)[0]
+            self._fill(n)
+            row = self._row[t]
+        return self._values[row, col]
+
+    def _step_of(self, t):
+        """The step n with t == n dt or t == (n + 1/2) dt, else None."""
+        half = round(2.0 * t / self.dt)
+        n = half // 2
+        on_grid = n * self.dt if half % 2 == 0 else (n + 0.5) * self.dt
+        return n if on_grid == t else None
+
+    def _fill(self, n0):
+        steps = np.arange(n0, n0 + SOURCE_BLOCK_STEPS)
+        times = np.concatenate([steps * self.dt, (steps + 0.5) * self.dt])
+        self._values = barrier_gradient_x(self.spec, self._x, times)
+        self._row = {t: i for i, t in enumerate(times.tolist())}
+
+
+def barrier_sources(spec, dt):
+    """Prescribed hanging-variable sources: one BarrierDrive for W and E.
+
+    dt is the step of the run the sources drive; it fixes the times that
+    the drive evaluates a block at a time.
+    """
+    drive = BarrierDrive(spec, dt)
+    return {"W": drive, "E": drive}
 
 
 def barrier_sample(spec, grid, dt, t=0.0):
@@ -329,20 +414,10 @@ def _barrier_spatial_matrix(spec, x, derivative):
     x = np.asarray(x, dtype=float)
     phi = np.empty((x.size, spec.k.size), dtype=complex)
     left = x <= spec.a
-    xl = x[left]
-    inc = np.exp(1j * np.outer(xl - spec.x0, spec.k))
-    ref = np.exp(1j * np.outer(2.0 * spec.a - spec.x0 - xl, spec.k))
-    if derivative:
-        inc = inc * (1j * spec.k)
-        ref = ref * (-1j * spec.k)
+    inc, ref = _barrier_incident(spec, x[left], derivative)
     phi[left] = inc + ref * spec.R[None, :]
-    right = ~left
-    xr = x[right]
-    tran = np.exp(1j * np.outer(xr - spec.a, spec.K))
-    if derivative:
-        tran = tran * (1j * spec.K)
-    phi[right] = tran * (spec.T * np.exp(
-        1j * spec.k * (spec.a - spec.x0)))[None, :]
+    tran, coef = _barrier_transmitted(spec, x[~left], derivative)
+    phi[~left] = tran * coef[None, :]
     return phi
 
 
@@ -354,7 +429,7 @@ def prepare_barrier(spec, n_t=None):
     boundary = BoundaryCondition(
         kinds={"W": PRESCRIBED, "E": PRESCRIBED, "S": NEUMANN0,
                "N": NEUMANN0, "B": NEUMANN0, "T": NEUMANN0},
-        sources=barrier_sources(spec))
+        sources=barrier_sources(spec, dt))
     return PreparedRun(
         ops=ops, boundary=boundary,
         state=StaggeredState(psiR=psi_r, psiI=psi_i), dt=dt,
@@ -472,6 +547,10 @@ def tunneling_mode_energies(spec, bracket_rel=5e-3):
         even = (i % 2 == 0)
         e0 = e_mev * 1e-3 * EV
         lo, hi = e0 * (1.0 - bracket_rel), e0 * (1.0 + bracket_rel)
+        if hi >= spec.barrier_height:
+            raise GeometryError(
+                f"barrier height {spec.barrier_height:.6g} J does not "
+                f"exceed x-energy {i + 1} ({hi:.6g} J)")
         f_lo = _matching_residual(spec, lo, even)
         f_hi = _matching_residual(spec, hi, even)
         if f_lo * f_hi > 0.0:

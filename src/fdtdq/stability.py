@@ -71,12 +71,16 @@ def _grid_seed(grid, salt=0):
 def power_iteration(apply_op, n, seed, tol=1e-13, max_iter=100_000):
     """Largest-magnitude eigenvalue of a symmetric operator.
 
-    Converges when successive Rayleigh-quotient magnitudes agree to tol
-    relative.  If the quotient keeps flipping sign (near-degenerate +/-
-    pair), iteration switches to the squared operator.  Returns |lambda|.
+    Converges when the eigen-residual ||A v - rq v|| of the unit iterate v
+    and its Rayleigh quotient rq is at most tol |rq|; for a symmetric
+    operator an eigenvalue then lies within tol |rq| of rq.  (Successive
+    quotients can agree long before that on slowly converging spectra.)
+    If the quotient keeps flipping sign (near-degenerate +/- pair),
+    iteration switches to the squared operator.  Returns |lambda|.
     """
     v = _lcg_start_vector(n, seed)
     rq_prev = None
+    residual = None
     flips = 0
     squared = False
     for it in range(max_iter):
@@ -87,25 +91,21 @@ def power_iteration(apply_op, n, seed, tol=1e-13, max_iter=100_000):
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
+        residual = float(np.linalg.norm(w - rq * v))
+        if residual <= tol * abs(rq):
+            mag = abs(rq)
+            return float(np.sqrt(mag)) if squared else mag
         v = w / norm
-        if rq_prev is not None:
-            if abs(abs(rq) - abs(rq_prev)) < tol * max(abs(rq), 1e-300):
-                if not squared and rq * rq_prev < 0.0:
-                    pass  # still oscillating, keep going
-                else:
-                    mag = abs(rq)
-                    return float(np.sqrt(mag)) if squared else mag
-            if not squared and rq * rq_prev < 0.0:
-                flips += 1
-                if flips > 50:
-                    squared = True
-                    rq_prev = None
-                    continue
+        if not squared and rq_prev is not None and rq * rq_prev < 0.0:
+            flips += 1
+            if flips > 50:
+                squared = True
+                rq_prev = None
+                continue
         rq_prev = rq
     raise StabilityError(
         f"power iteration did not converge in {max_iter} iterations",
-        last_vector=v, last_estimate=rq_prev,
-        residual=abs(abs(rq) - abs(rq_prev)) if rq_prev is not None else None)
+        last_vector=v, last_estimate=rq_prev, residual=residual)
 
 
 def spectral_radius_power(ops, tol=1e-13, max_iter=100_000):

@@ -195,9 +195,27 @@ def step(state, ops, boundary, dt, pinned=None):
     return new_state, window
 
 
+def project_pinned(state, pinned):
+    """state with its samples on pinned (Dirichlet) nodes set to zero.
+
+    The update never changes a pinned sample, so a nonzero one would stay
+    in P^n while the boundary fluxes never see it, breaking the probability
+    balance from the first step.  Returns state itself when nothing is
+    pinned, else a projected copy.
+    """
+    if not pinned.any():
+        return state
+    out = state.copy()
+    out.psiR[pinned.reshape(-1)] = 0.0
+    out.psiI[pinned.reshape(-1)] = 0.0
+    return out
+
+
 def run(state0, ops, boundary, dt, n_t, observers=(), guard_factor=1e6):
     """Drive n_t leap-frog steps, recording diagnostics every step.
 
+    The run starts from state0 projected onto the Dirichlet constraint
+    (project_pinned); state0 itself is not modified.
     Returns (final state, DiagnosticsSeries).  observers are callables
     invoked as observer(window) after every step.  guard_factor sets the
     divergence guard at guard_factor times the initial max |psi| (None
@@ -210,10 +228,10 @@ def run(state0, ops, boundary, dt, n_t, observers=(), guard_factor=1e6):
         raise ValueError("n_t must be nonnegative")
     pinned = boundary.pinned_mask(ops.grid)
     builder = SeriesBuilder(ops, dt, n_t, boundary.flux_faces)
-    state = state0
+    state = project_pinned(state0, pinned)
     guard = None
     if guard_factor is not None:
-        norm0 = max(np.max(np.abs(state0.psiR)), np.max(np.abs(state0.psiI)))
+        norm0 = max(np.max(np.abs(state.psiR)), np.max(np.abs(state.psiI)))
         guard = guard_factor * (norm0 if norm0 > 0.0 else 1.0)
     try:
         for _ in range(n_t):

@@ -1,13 +1,17 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from fdtdq import scenarios as sc
 from fdtdq.cli import (EXIT_CONFIG_ERROR, EXIT_DIVERGED, EXIT_OK,
                        EXIT_VERIFY_FAILED, ConfigError, RunConfig,
                        _quantity, main)
 from fdtdq.constants import EV
+from fdtdq.coupling import run_coupled
 from fdtdq.diagnostics import CSV_COLUMNS
+from fdtdq.stepper import load_checkpoint
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -31,6 +35,10 @@ def test_quantity_parsing():
         _quantity("thirty")
     with pytest.raises(ConfigError):
         _quantity(True)
+    with pytest.raises(ConfigError):
+        _quantity(float("nan"))
+    with pytest.raises(ConfigError):
+        _quantity({"value": 30, "units": "nm"})
 
 
 def test_run_config_validation(tmp_path):
@@ -139,7 +147,6 @@ def test_run_checkpoints_written(tmp_path):
     assert main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
     names = sorted(p.name for p in out.glob("checkpoint_*.npz"))
     assert names == ["checkpoint_00000005.npz", "checkpoint_00000010.npz"]
-    from fdtdq.stepper import load_checkpoint
     state = load_checkpoint(out / names[-1])
     assert state.n == 10
 
@@ -276,6 +283,95 @@ def test_tunneling_geometry_without_modes_is_config_error(tmp_path, capsys,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: ")
     assert reason in err[0]
+
+
+WELL = {"scenario": "infinite_well", "n_cells": 6, "n_t": 2}
+
+
+@pytest.mark.parametrize("config,message", [
+    ({**WELL, "n_t": "abc"}, "n_t must be an integer, got 'abc'"),
+    ({**WELL, "dt_factor": -1}, "dt_factor must be positive, got -1"),
+    ({**WELL, "n_cels": 4}, "unknown config key 'n_cels'"),
+    ({**WELL, "n_cells": 2.5}, "n_cells must be an integer, got 2.5"),
+    ({**WELL, "n_cells": 1000}, "nodes, more than"),
+    ({**WELL, "n_t": 10**8}, "n_t = 100000000 is more than 10000000 steps"),
+    ({"scenario": "barrier", "horizon": 1.0}, "is more than 10000000 steps"),
+    ({**WELL, "diag_stride": 0}, "diag_stride must be >= 1"),
+    ({**WELL, "checkpoint_interval": -1}, "checkpoint_interval must be >= 0"),
+    ({**WELL, "guard_factor": "big"}, "guard_factor: expected a number"),
+    ({**WELL, "allow_unstable": "yes"}, "allow_unstable must be true or"),
+    ({**WELL, "a": {"value": 30, "units": "nm"}}, "expected the keys value"),
+    ({**WELL, "phase": None}, "phase: expected a number"),
+    ({"scenario": "barrier", "n_t": 2, "lx": -1}, "lx must be positive"),
+    ({"scenario": "barrier", "n_t": 2, "n_cells": 4},
+     "unknown config key 'n_cells' for scenario 'barrier'"),
+    ({"scenario": "tunneling", "n_t": 2, "temperature": 0},
+     "temperature must be positive"),
+    ({"scenario": ["well"]}, "unknown scenario"),
+])
+@pytest.mark.parametrize("command", ["run", "cfl"])
+def test_bad_config_fails_closed(tmp_path, capsys, command, config, message):
+    out = tmp_path / "o"
+    argv = [command, "--config", write_config(tmp_path, config),
+            "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert message in err[0]
+    assert not out.exists()
+
+
+def test_tunneling_barrier_below_mode_energy_is_config_error(tmp_path,
+                                                             capsys):
+    config = write_config(tmp_path, {
+        "scenario": "tunneling", "n_t": 2,
+        "u0": {"value": 0.01, "unit": "eV"},
+    })
+    assert main(["run", "--config", config,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "does not exceed x-energy 1" in err[0]
+
+
+def test_every_scenario_key_is_accepted(tmp_path):
+    run_keys = {"n_t": 3, "diag_stride": 1, "checkpoint_interval": 0,
+                "guard_factor": 1e6, "allow_unstable": False}
+    configs = [
+        {"scenario": "infinite_well", "a": {"value": 30, "unit": "nm"},
+         "n_cells": 4, "dt_factor": 0.999, "phase": 1.0},
+        {"scenario": "barrier", "x0": -100e-9, "lambda_bar": 30e-9,
+         "u0": {"value": 1.5, "unit": "meV"}, "a": 100e-9, "lx": 200e-9,
+         "ly": 2e-9, "lz": 2e-9, "cell": 1e-9, "horizon": 35e-12,
+         "dt_factor": 0.999},
+        {"scenario": "tunneling", "lx_reactant": 1e-10, "lx_barrier": 0.5e-10,
+         "lx_product": 1e-10, "ly": 1e-10, "lz": 0.9e-10,
+         "cell": {"value": 1 / 30, "unit": "angstrom"},
+         "u0": {"value": 1.0, "unit": "eV"},
+         "temperature": {"value": 298, "unit": "K"}, "dt_factor": 0.999},
+    ]
+    for config in configs:
+        cfg = RunConfig.load(write_config(tmp_path, {**config, **run_keys}))
+        assert cfg.n_t == 3 and cfg.spec is not None
+
+
+def test_tunneling_checkpoints_written_per_region(tmp_path):
+    config = write_config(tmp_path, {
+        "scenario": "tunneling", "n_t": 4, "checkpoint_interval": 2,
+    })
+    out = tmp_path / "tun_ckpt"
+    assert main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
+    names = sorted(p.name for p in out.glob("*.npz"))
+    assert names == sorted(f"{region}_checkpoint_{n:08d}.npz"
+                           for region in ("reactant", "barrier", "product")
+                           for n in (2, 4))
+    graph, dt = sc.build_tunneling_graph(sc.TunnelingSpec())
+    run_coupled(graph, dt, 4)
+    for region, r in graph.regions.items():
+        state = load_checkpoint(out / f"{region}_checkpoint_00000004.npz")
+        assert state.n == 4
+        assert np.array_equal(state.psiR, r.state.psiR)
+        assert np.array_equal(state.psiI, r.state.psiI)
 
 
 def test_exit_codes_are_distinct():

@@ -94,6 +94,21 @@ def test_zero_state_stays_zero_coupled():
         assert np.all(s.P == 0.0)
 
 
+def test_dirichlet_box_balance_holds_from_any_initial_state_coupled():
+    # The coupled driver zeroes pinned samples after every half step; the
+    # initial ones must be projected too, before P^0, for the balance.
+    grid = RegionGrid(4, 3, 3, DX, DX, DX)
+    rng = np.random.default_rng(11)
+    box = Region.build("box", grid, PotentialField.uniform(grid), ELECTRON,
+                       BoundaryCondition.all_dirichlet(),
+                       rng.standard_normal(grid.n_nodes),
+                       rng.standard_normal(grid.n_nodes))
+    graph = RegionGraph([box], [])
+    series = run_coupled(graph, stable_dt(graph), 20)["box"]
+    res_p, _ = series.compute_residuals()
+    assert np.nanmax(np.abs(res_p)) <= 1e-13
+
+
 def test_interface_hanging_recovery_agrees_between_sides():
     # Interior interface nodes: both regions recover the same derivative
     # samples from their own update equations.

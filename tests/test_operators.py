@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from fdtdq.constants import ELECTRON, PhysicalConstants
 from fdtdq.grid import FACES, RegionGrid, PotentialField, metric_diagonals
 from fdtdq.operators import (DiscreteOperators, MAX_ASSEMBLY_NODES,
-                             build_boundary_L, build_incidence_D,
-                             dump_matrix_coo)
+                             build_boundary_L, build_incidence_D)
 
 RNG = np.random.default_rng(20260823)
 
@@ -154,24 +153,6 @@ def test_split_join_hanging_roundtrip():
     b = rng.standard_normal(ops.grid.n_hanging)
     assert np.array_equal(ops.join_hanging(ops.split_hanging(b)), b)
     assert np.array_equal(ops.zero_hanging(), np.zeros(ops.grid.n_hanging))
-
-
-def test_dump_matrix_coo_roundtrip(tmp_path):
-    ops = make_ops(nx=2, ny=1, nz=1, seed=4)
-    h = ops.assemble_H()
-    path = tmp_path / "h.txt"
-    dump_matrix_coo(h, path)
-    lines = path.read_text().splitlines()
-    header = lines[0].split()
-    assert header[0] == "#"
-    rows, cols, nnz = map(int, header[1:])
-    assert (rows, cols) == h.shape
-    assert nnz == len(lines) - 1
-    rebuilt = np.zeros(h.shape)
-    for line in lines[1:]:
-        r, c, val = line.split()
-        rebuilt[int(r) - 1, int(c) - 1] = float(val)
-    assert rel(rebuilt, h.toarray()) == 0.0
 
 
 def test_kinetic_factor_scaling():

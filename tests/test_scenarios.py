@@ -160,10 +160,66 @@ def test_analytic_references_positive_and_finite(barrier_spec):
 
 def test_barrier_sources_sample_analytic_gradient(barrier_spec):
     g = barrier_spec
-    sources = sc.barrier_sources(g)
+    sources = sc.barrier_sources(g, g.time_step())
     t = 1e-12
     assert sources["W"]("W", t) == sc.barrier_gradient_x(g, 0.0, t)[0]
     assert sources["E"]("E", t) == sc.barrier_gradient_x(g, g.lx, t)[0]
+
+
+def bits(values):
+    """Raw 64-bit patterns of complex values, for bitwise comparison."""
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+def test_barrier_array_times_match_single_calls(barrier_spec):
+    # Several positions on each side of the step: every value of the
+    # time table must carry the bits of the single-position, single-time
+    # call, whatever the other positions are.
+    g = barrier_spec
+    x = np.array([0.0, 40e-9, g.a, 150e-9, g.lx])
+    times = np.array([0.0, 3.3e-13, 1e-12, 2.5e-12])
+    for fn in (sc.barrier_gradient_x, sc.barrier_wavefunction):
+        table = fn(g, x, times)
+        assert table.shape == (times.size, x.size)
+        for i, t in enumerate(times):
+            for j, xj in enumerate(x):
+                assert np.array_equal(bits(table[i, j]), bits(fn(g, xj, t)))
+
+
+@pytest.mark.parametrize("n0", [0, 101])
+def test_barrier_drive_is_bitwise_and_fills_per_block(barrier_spec,
+                                                      monkeypatch, n0):
+    # Step times in stepper order over more than two blocks; a first ask at
+    # n0 > 0 is what a resumed run does.  Every value equals the direct
+    # call, and the drive calls barrier_gradient_x once per block.
+    g = barrier_spec
+    dt = g.time_step()
+    direct = sc.barrier_gradient_x
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(sc, "barrier_gradient_x", counted)
+    sources = sc.barrier_sources(g, dt)
+    assert sources["W"] is sources["E"]
+    drive = sources["W"]
+    n_steps = 2 * sc.SOURCE_BLOCK_STEPS + 3
+    for n in range(n0, n0 + n_steps):
+        for t in (n * dt, (n + 0.5) * dt):
+            for face, x in (("W", 0.0), ("E", g.lx)):
+                assert np.array_equal(bits(drive(face, t)),
+                                      bits(direct(g, x, t)))
+    assert len(calls) == 3
+    assert calls[0][2][0] == n0 * dt
+
+    # An off-grid time is evaluated directly and leaves the table alone.
+    t = (n0 + 0.25) * dt
+    assert np.array_equal(bits(drive("E", t)), bits(direct(g, g.lx, t)))
+    assert len(calls) == 4
+    drive("W", (n0 + n_steps - 1) * dt)
+    assert len(calls) == 4
 
 
 def test_prepare_barrier_defaults(barrier_spec):

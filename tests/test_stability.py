@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdtdq.constants import ELECTRON, EV, HBAR, PhysicalConstants
@@ -31,6 +31,7 @@ def test_cfl_closed_form_value():
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10_000))
+@example(7251)
 def test_power_iteration_matches_dense_on_random_grids(seed):
     rng = np.random.default_rng(seed)
     dims = rng.integers(1, 5, size=3)

@@ -50,6 +50,20 @@ def test_dirichlet_faces_stay_pinned():
     assert np.max(np.abs(state.psiR[~mask])) > 0.0
 
 
+def test_dirichlet_box_balance_holds_from_any_initial_state():
+    # A random state is nonzero on the walls.  The update never moves a
+    # pinned sample, so run projects them to zero before P^0; otherwise
+    # they sit in P^n and the probability balance is off from step one.
+    ops = make_ops()
+    bc = BoundaryCondition.all_dirichlet()
+    state0 = random_state(ops, seed=7)
+    psi_r0 = state0.psiR.copy()
+    _, series = run(state0, ops, bc, stable_dt(ops), 20)
+    res_p, _ = series.compute_residuals()
+    assert np.nanmax(np.abs(res_p)) <= 1e-13
+    assert np.array_equal(state0.psiR, psi_r0)
+
+
 def test_step_matches_explicit_update_formula():
     ops = make_ops(u=1e-20)
     bc = BoundaryCondition.all_neumann()
