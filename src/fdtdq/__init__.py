@@ -8,9 +8,9 @@ from .grid import (FACES, FACE_AXIS, FACE_SIGN, OPPOSITE_FACE,
                    MetricDiagonals, PotentialField, RegionGrid,
                    metric_diagonals)
 from .operators import DiscreteOperators
-from .stepper import (BoundaryCondition, DivergenceError, StaggeredState,
-                      StepWindow, load_checkpoint, run, save_checkpoint,
-                      step)
+from .stepper import (BoundaryCondition, DivergenceError, Region,
+                      StaggeredState, StepWindow, load_checkpoint, run,
+                      save_checkpoint, step)
 from .diagnostics import (CSV_COLUMNS, DiagnosticsSeries, SeriesBuilder,
                           energy_lower_bound, energy_simple,
                           probability_current_by_face, probability_simple,
@@ -19,7 +19,7 @@ from .stability import (StabilityError, StabilityReport, cfl_gen_limit,
                         cfl_limit, check_theorems, kappa_P, lambda_min_P,
                         per_cell_cfl_gen, power_iteration,
                         single_cell_sigma_eigvals, spectral_radius)
-from .coupling import (Interface, InstabilityResult, Region, RegionGraph,
+from .coupling import (Interface, InstabilityResult, RegionGraph,
                        UnstableTimeStep, coupled_step,
                        cross_region_conservation, instability_demo,
                        interface_current_mismatch, run_coupled)

@@ -16,21 +16,22 @@ Config files are JSON objects; physical quantities may be plain numbers
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import scenarios as sc
 from .constants import EV, to_si
-from .coupling import (UnstableTimeStep, cross_region_conservation,
+from .coupling import (RegionGraph, UnstableTimeStep,
+                       cross_region_conservation, enforce_time_step,
                        run_coupled)
 from .grid import PotentialField, RegionGrid
 from .operators import DiscreteOperators
-from .stability import cfl_gen_limit, cfl_limit, check_theorems
-from .stepper import (DivergenceError, StaggeredState, run,
+from .stability import cfl_limit, check_theorems
+from .stepper import (DivergenceError, Region, StaggeredState, run,
                       save_checkpoint)
 
 EXIT_OK = 0
@@ -39,8 +40,6 @@ EXIT_CONFIG_ERROR = 2
 EXIT_DIVERGED = 3
 
 SUMMARY_SCHEMA_VERSION = 1
-
-THREADS_ENV_VAR = "FDTDQ_THREADS"
 
 
 class ConfigError(ValueError):
@@ -95,24 +94,6 @@ def _cell_count(key, obj):
     return _integer(key, obj, 1)
 
 
-# Scenario name -> (spec class, {config key: parser}).  The keys are the
-# spec's constructor arguments; together with RUN_KEYS they are the only
-# keys a config of that scenario may hold.
-SCENARIOS = {
-    "infinite_well": (sc.InfiniteWellSpec, {
-        "a": _positive, "n_cells": _cell_count, "dt_factor": _positive,
-        "phase": _number}),
-    "barrier": (sc.GaussianBarrierSpec, {
-        "x0": _number, "lambda_bar": _positive, "u0": _number, "a": _number,
-        "lx": _positive, "ly": _positive, "lz": _positive,
-        "cell": _positive, "horizon": _positive, "dt_factor": _positive}),
-    "tunneling": (sc.TunnelingSpec, {
-        "lx_reactant": _positive, "lx_barrier": _positive,
-        "lx_product": _positive, "ly": _positive, "lz": _positive,
-        "cell": _positive, "u0": _positive, "temperature": _positive,
-        "dt_factor": _positive}),
-}
-
 RUN_KEYS = ("scenario", "n_t", "diag_stride", "checkpoint_interval",
             "guard_factor", "allow_unstable")
 
@@ -121,9 +102,6 @@ RUN_KEYS = ("scenario", "n_t", "diag_stride", "checkpoint_interval",
 # bound a run to roughly 1 GB and 2 GB.
 MAX_STEPS = 10**7
 MAX_REGION_NODES = 10**7
-
-# Default simulated time of a tunneling run (s).
-TUNNELING_HORIZON = 1e-12
 
 
 @dataclass
@@ -157,7 +135,8 @@ class RunConfig:
         scenario = raw["scenario"]
         if not isinstance(scenario, str) or scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {scenario!r}")
-        spec_cls, parsers = SCENARIOS[scenario]
+        entry = SCENARIOS[scenario]
+        parsers = entry.parsers
         unknown = sorted(set(raw) - set(RUN_KEYS) - set(parsers))
         if unknown:
             raise ConfigError(
@@ -179,18 +158,16 @@ class RunConfig:
             raise ConfigError(
                 f"allow_unstable must be true or false, got {unstable!r}")
         cfg.allow_unstable = allow_unstable or unstable
-        cfg.spec = spec_cls(**{key: parse(key, raw[key])
-                               for key, parse in parsers.items()
-                               if key in raw})
-        for name, grid in _region_grids(cfg).items():
+        cfg.spec = entry.spec(**{key: parse(key, raw[key])
+                                 for key, parse in parsers.items()
+                                 if key in raw})
+        for name, grid in entry.grids(cfg.spec).items():
             if grid.n_nodes > MAX_REGION_NODES:
                 raise ConfigError(
                     f"region {name!r} has {grid.n_nodes} nodes, more than "
                     f"{MAX_REGION_NODES}")
         if "n_t" in raw:
             cfg.n_t = _integer("n_t", raw["n_t"], 0)
-        elif scenario == "tunneling":
-            cfg.n_t = int(round(TUNNELING_HORIZON / cfg.spec.time_step()))
         else:
             cfg.n_t = cfg.spec.default_n_t()
         if cfg.n_t > MAX_STEPS:
@@ -199,31 +176,18 @@ class RunConfig:
         return cfg
 
 
-def _region_grids(cfg):
-    """Region name -> grid of the configured scenario."""
-    if cfg.scenario == "tunneling":
-        return {r: cfg.spec.region_grid(r) for r in sc.TUNNELING_REGIONS}
-    name = "well" if cfg.scenario == "infinite_well" else "barrier"
-    return {name: cfg.spec.grid()}
-
-
 def _finite_extreme(arr, fn):
-    if arr is None:
-        return None
     vals = np.asarray(arr)
     vals = vals[np.isfinite(vals)]
     return float(fn(vals)) if vals.size else None
 
 
 def _region_summary(series):
+    """Summary of a series whose residuals have been computed."""
     min_h = _finite_extreme(series.H, np.min)
     return {
-        "max_residual_P": _finite_extreme(
-            None if series.residual_P is None
-            else np.abs(series.residual_P), np.max),
-        "max_residual_H": _finite_extreme(
-            None if series.residual_H is None
-            else np.abs(series.residual_H), np.max),
+        "max_residual_P": _finite_extreme(np.abs(series.residual_P), np.max),
+        "max_residual_H": _finite_extreme(np.abs(series.residual_H), np.max),
         "min_P": _finite_extreme(series.P, np.min),
         "max_P": _finite_extreme(series.P, np.max),
         "min_H_joules": min_h,
@@ -231,22 +195,20 @@ def _region_summary(series):
     }
 
 
-def _checkpoint_observer(out_dir, interval, coupled=False):
-    """Observer writing the state every interval steps.
+def _checkpoint_observer(out_dir, interval):
+    """Observer writing every region's state every interval steps.
 
-    For run it writes checkpoint_{n:08d}.npz; for run_coupled (coupled
-    True, the observer gets the per-region window dict) one
+    A one-region run writes checkpoint_{n:08d}.npz, a coupled run one
     {region}_checkpoint_{n:08d}.npz per region.
     """
     if interval <= 0:
         return ()
 
-    def observer(arg):
-        windows = ({f"{name}_": w for name, w in arg.items()} if coupled
-                   else {"": arg})
-        for prefix, window in windows.items():
+    def observer(windows):
+        for name, window in windows.items():
             n = window.n + 1
             if n % interval == 0:
+                prefix = f"{name}_" if len(windows) > 1 else ""
                 state = StaggeredState(
                     psiR=window.psiR_np1, psiI=window.psiI_np, n=n,
                     psiR_prev=window.psiR_n, gradR_prev=window.gradR_n,
@@ -257,171 +219,165 @@ def _checkpoint_observer(out_dir, interval, coupled=False):
     return (observer,)
 
 
-def _run_single(cfg, prep, out_dir, region_name="region"):
-    """Drive a single-region scenario; returns (exit code, summary dict)."""
-    diverged_at = None
+def _one_region(name, prep):
+    """(one-region graph, dt) of a PreparedRun."""
+    return (RegionGraph([Region(name, prep.ops, prep.boundary, prep.state)],
+                        []), prep.dt)
+
+
+def _run_one(graph, dt, n_t, **driver_args):
+    """run on a one-region graph; the series keyed by the region's name."""
+    (name, r), = graph.regions.items()
     try:
-        _, series = run(prep.state, prep.ops, prep.boundary, prep.dt,
-                        prep.n_t, guard_factor=cfg.guard_factor,
-                        observers=_checkpoint_observer(
-                            out_dir, cfg.checkpoint_interval))
+        return {name: run(r.state, r.ops, r.boundary, dt, n_t,
+                          **driver_args)[1]}
     except DivergenceError as exc:
-        series = exc.series
-        diverged_at = exc.step
-    series.compute_residuals(norm_P=prep.norm_P, norm_H=prep.norm_H)
-    series.write_csv(out_dir / f"{region_name}.csv",
-                     stride=cfg.diag_stride)
-    summary = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "scenario": cfg.scenario,
-        "dt_seconds": prep.dt,
-        "n_t": prep.n_t,
-        "steps_completed": series.steps_completed,
-        "diverged": diverged_at is not None,
-        "diverged_at": diverged_at,
-        "regions": {region_name: _region_summary(series)},
-    }
-    return (EXIT_DIVERGED if diverged_at is not None else EXIT_OK), summary
+        exc.series = {name: exc.series}
+        raise
 
 
-def _reference_times(series, max_samples=700):
-    stride = max(1, series.n_t // max_samples)
-    idx = np.arange(0, series.steps_completed + 1, stride)
-    return idx, idx * series.dt
+def _barrier_references(spec, series):
+    """Peak analytic probability and energy of the region, sampled at up
+    to about 700 times of the run."""
+    (s,) = series.values()
+    stride = max(1, s.n_t // 700)
+    times = np.arange(0, s.steps_completed + 1, stride) * s.dt
+    norm_p = float(sc.analytic_region_probability(spec, times).max())
+    norm_h = float(sc.analytic_region_energy(spec, times).max())
+    return norm_p, norm_h, {"max_analytic_P": norm_p,
+                            "max_analytic_H_joules": norm_h,
+                            "max_analytic_H_ev": norm_h / EV}
+
+
+def _tunneling_references(spec, series):
+    norm_h = sc.analytic_total_energy(spec)
+    cons = cross_region_conservation(series)
+    return 1.0, norm_h, {
+        "analytic_H_joules": norm_h,
+        "analytic_H_ev": norm_h / EV,
+        "total_P_max_drift": cons["max_P_drift"],
+        "total_H_max_drift_normalized": cons["max_H_drift_normalized"]}
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """All that the CLI does differently per scenario.
+
+    spec is the spec class and parsers maps each config key to its
+    parser; the keys are the spec's constructor arguments, and together
+    with RUN_KEYS they are the only keys a config of the scenario may hold.
+    grids(spec) gives region name -> grid and potential(spec, name, grid)
+    that region's potential.  prepare(spec, n_t) gives (RegionGraph, dt)
+    holding the initial state.  drive(graph, dt, n_t, observers=...,
+    guard_factor=...) runs it and returns region name -> series, raising
+    DivergenceError with exc.series in the same form.  references(spec,
+    series) gives (norm_P, norm_H, extra summary keys).
+    """
+
+    spec: type
+    parsers: dict
+    grids: Callable
+    potential: Callable
+    prepare: Callable
+    drive: Callable
+    references: Callable
+
+
+# The entries look up run, run_coupled and the scenarios functions when
+# called, not when this table is built, so that a wrapper installed on a
+# module after import (as bench/child.py does to time them) sees every
+# call.
+SCENARIOS = {
+    "infinite_well": Scenario(
+        sc.InfiniteWellSpec,
+        {"a": _positive, "n_cells": _cell_count, "dt_factor": _positive,
+         "phase": _number},
+        grids=lambda spec: {"well": spec.grid()},
+        potential=lambda spec, name, grid: spec.potential(grid),
+        prepare=lambda spec, n_t: _one_region(
+            "well", sc.prepare_infinite_well(spec, n_t=n_t)),
+        drive=_run_one,
+        references=lambda spec, series: (1.0, spec.ground_energy, {})),
+    "barrier": Scenario(
+        sc.GaussianBarrierSpec,
+        {"x0": _number, "lambda_bar": _positive, "u0": _number,
+         "a": _number, "lx": _positive, "ly": _positive, "lz": _positive,
+         "cell": _positive, "horizon": _positive, "dt_factor": _positive},
+        grids=lambda spec: {"barrier": spec.grid()},
+        potential=lambda spec, name, grid: spec.potential(grid),
+        prepare=lambda spec, n_t: _one_region(
+            "barrier", sc.prepare_barrier(spec, n_t=n_t)),
+        drive=_run_one,
+        references=_barrier_references),
+    "tunneling": Scenario(
+        sc.TunnelingSpec,
+        {"lx_reactant": _positive, "lx_barrier": _positive,
+         "lx_product": _positive, "ly": _positive, "lz": _positive,
+         "cell": _positive, "u0": _positive, "temperature": _positive,
+         "dt_factor": _positive},
+        grids=lambda spec: {r: spec.region_grid(r)
+                            for r in sc.TUNNELING_REGIONS},
+        potential=lambda spec, name, grid: spec.region_potential(name, grid),
+        prepare=lambda spec, n_t: sc.build_tunneling_graph(spec),
+        drive=lambda *args, **kw: run_coupled(*args, **kw),
+        references=_tunneling_references),
+}
 
 
 def cmd_run(args):
     cfg = RunConfig.load(args.config, stride=args.stride,
                          allow_unstable=args.allow_unstable)
+    scenario = SCENARIOS[cfg.scenario]
+    graph, dt = scenario.prepare(cfg.spec, cfg.n_t)
+    if not cfg.allow_unstable:
+        try:
+            enforce_time_step(graph, dt)
+        except UnstableTimeStep as exc:
+            raise ConfigError(str(exc)) from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.scenario == "infinite_well":
-        prep = sc.prepare_infinite_well(cfg.spec, n_t=cfg.n_t)
-        _check_single_region_dt(prep, cfg)
-        code, summary = _run_single(cfg, prep, out_dir, "well")
-    elif cfg.scenario == "barrier":
-        prep = sc.prepare_barrier(cfg.spec, n_t=cfg.n_t)
-        _check_single_region_dt(prep, cfg)
-        code, summary = _run_barrier(cfg, prep, out_dir)
-    else:
-        code, summary = _run_tunneling(cfg, out_dir)
-
+    diverged_at = None
+    try:
+        series = scenario.drive(
+            graph, dt, cfg.n_t, guard_factor=cfg.guard_factor,
+            observers=_checkpoint_observer(out_dir, cfg.checkpoint_interval))
+    except DivergenceError as exc:
+        series, diverged_at = exc.series, exc.step
+    norm_p, norm_h, extra = scenario.references(cfg.spec, series)
+    regions = {}
+    for name, s in series.items():
+        s.compute_residuals(norm_P=norm_p, norm_H=norm_h)
+        s.write_csv(out_dir / f"{name}.csv", stride=cfg.diag_stride)
+        regions[name] = _region_summary(s)
+    summary = {
+        "schema_version": SUMMARY_SCHEMA_VERSION,
+        "scenario": cfg.scenario,
+        "dt_seconds": dt,
+        "n_t": cfg.n_t,
+        "steps_completed": max(s.steps_completed for s in series.values()),
+        "diverged": diverged_at is not None,
+        "diverged_at": diverged_at,
+        **extra,
+        "regions": regions,
+    }
     summary_path = out_dir / "summary.json"
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     print(f"wrote {summary_path}")
-    return code
-
-
-def _check_single_region_dt(prep, cfg):
-    if cfg.allow_unstable:
-        return
-    closed = cfl_limit(prep.ops.grid, prep.ops.potential,
-                       prep.ops.constants)
-    if prep.dt < closed:
-        return
-    gen = cfl_gen_limit(prep.ops)
-    if prep.dt >= gen:
-        raise ConfigError(
-            f"dt = {prep.dt:.6e} s exceeds the generalized limit "
-            f"{gen:.6e} s; pass --allow-unstable to run anyway")
-
-
-def _run_barrier(cfg, prep, out_dir):
-    spec = cfg.spec
-    diverged_at = None
-    try:
-        _, series = run(prep.state, prep.ops, prep.boundary, prep.dt,
-                        prep.n_t, guard_factor=cfg.guard_factor,
-                        observers=_checkpoint_observer(
-                            out_dir, cfg.checkpoint_interval))
-    except DivergenceError as exc:
-        series = exc.series
-        diverged_at = exc.step
-    idx, times = _reference_times(series)
-    ref_p = sc.analytic_region_probability(spec, times)
-    ref_h = sc.analytic_region_energy(spec, times)
-    norm_p = float(ref_p.max())
-    norm_h = float(ref_h.max())
-    series.compute_residuals(norm_P=norm_p, norm_H=norm_h)
-    series.write_csv(out_dir / "barrier.csv", stride=cfg.diag_stride)
-    summary = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "scenario": cfg.scenario,
-        "dt_seconds": prep.dt,
-        "n_t": prep.n_t,
-        "steps_completed": series.steps_completed,
-        "diverged": diverged_at is not None,
-        "diverged_at": diverged_at,
-        "max_analytic_P": norm_p,
-        "max_analytic_H_joules": norm_h,
-        "max_analytic_H_ev": norm_h / EV,
-        "regions": {"barrier": _region_summary(series)},
-    }
-    return (EXIT_DIVERGED if diverged_at is not None else EXIT_OK), summary
-
-
-def _run_tunneling(cfg, out_dir):
-    spec = cfg.spec
-    graph, dt = sc.build_tunneling_graph(spec)
-    n_t = cfg.n_t
-    diverged_at = None
-    try:
-        series_map = run_coupled(
-            graph, dt, n_t, guard_factor=cfg.guard_factor,
-            allow_unstable=cfg.allow_unstable,
-            observers=_checkpoint_observer(
-                out_dir, cfg.checkpoint_interval, coupled=True))
-    except UnstableTimeStep as exc:
-        raise ConfigError(str(exc)) from None
-    except DivergenceError as exc:
-        series_map = exc.series
-        diverged_at = exc.step
-    norm_h = sc.analytic_total_energy(spec)
-    regions = {}
-    for name, series in series_map.items():
-        series.compute_residuals(norm_P=1.0, norm_H=norm_h)
-        series.write_csv(out_dir / f"{name}.csv", stride=cfg.diag_stride)
-        regions[name] = _region_summary(series)
-    cons = cross_region_conservation(series_map)
-    summary = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "scenario": cfg.scenario,
-        "dt_seconds": dt,
-        "n_t": n_t,
-        "steps_completed": max(s.steps_completed
-                               for s in series_map.values()),
-        "diverged": diverged_at is not None,
-        "diverged_at": diverged_at,
-        "analytic_H_joules": norm_h,
-        "analytic_H_ev": norm_h / EV,
-        "total_P_max_drift": cons["max_P_drift"],
-        "total_H_max_drift_normalized": cons["max_H_drift_normalized"],
-        "regions": regions,
-    }
-    return (EXIT_DIVERGED if diverged_at is not None else EXIT_OK), summary
-
-
-def _scenario_region_setups(cfg):
-    """(name, grid, potential, constants, dt) per region of a scenario."""
-    spec = cfg.spec
-    dt = spec.time_step()
-    out = []
-    for name, grid in _region_grids(cfg).items():
-        potential = (spec.region_potential(name, grid)
-                     if cfg.scenario == "tunneling" else spec.potential(grid))
-        out.append((name, grid, potential, spec.constants, dt))
-    return out
+    return EXIT_DIVERGED if diverged_at is not None else EXIT_OK
 
 
 def cmd_cfl(args):
-    cfg = RunConfig.load(args.config, allow_unstable=True)
+    cfg = RunConfig.load(args.config)
+    scenario = SCENARIOS[cfg.scenario]
     out_dir = Path(args.out) if args.out else None
+    dt = cfg.spec.time_step()
     reports = {}
-    for name, grid, potential, constants, dt in _scenario_region_setups(cfg):
-        report = check_theorems(grid, potential, constants, dt)
+    for name, grid in scenario.grids(cfg.spec).items():
+        report = check_theorems(grid, scenario.potential(cfg.spec, name, grid),
+                                cfg.spec.constants, dt)
         reports[name] = report.as_dict()
         print(f"[{name}]")
         print(report.as_text())
@@ -511,28 +467,6 @@ def cmd_verify(args):
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
-def _apply_thread_limit(threads):
-    if threads is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is None:
-            return
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"{THREADS_ENV_VAR} must be an integer, got {env!r}") \
-                from None
-    if threads < 1:
-        raise ConfigError("thread count must be >= 1")
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fdtdq",
@@ -543,7 +477,6 @@ def build_parser():
     p_run = sub.add_parser("run", help="execute a scenario")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--threads", type=int, default=None)
     p_run.add_argument("--stride", type=int, default=None,
                        help="diagnostic CSV row stride")
     p_run.add_argument("--allow-unstable", action="store_true")
@@ -552,11 +485,9 @@ def build_parser():
     p_cfl = sub.add_parser("cfl", help="print time-step limits")
     p_cfl.add_argument("--config", required=True)
     p_cfl.add_argument("--out", default=None)
-    p_cfl.add_argument("--threads", type=int, default=None)
     p_cfl.set_defaults(func=cmd_cfl)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
-    p_ver.add_argument("--threads", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 
@@ -565,7 +496,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_limit(getattr(args, "threads", None))
         return args.func(args)
     except (ConfigError, sc.GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

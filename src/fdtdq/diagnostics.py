@@ -312,19 +312,12 @@ class SeriesBuilder:
     def finish(self, final_state):
         """Close the series, evaluating the final-step probability."""
         m = self._steps
-        if m > 0 and m <= self.n_t:
+        if m <= self.n_t:
             h_r = self.ops.apply_H(final_state.psiR)
             self.P[m] = total_probability(
                 final_state.psiR, final_state.psiI, self.ops, self.dt,
                 h_psiR=h_r)
             self.P_simple[m] = probability_simple(
-                final_state.psiR, final_state.psiI, self.ops)
-        elif m == 0:
-            h_r = self.ops.apply_H(final_state.psiR)
-            self.P[0] = total_probability(
-                final_state.psiR, final_state.psiI, self.ops, self.dt,
-                h_psiR=h_r)
-            self.P_simple[0] = probability_simple(
                 final_state.psiR, final_state.psiI, self.ops)
         return DiagnosticsSeries(
             dt=self.dt, n_t=self.n_t, P=self.P, P_simple=self.P_simple,

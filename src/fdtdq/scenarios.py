@@ -65,8 +65,6 @@ class PreparedRun:
     state: StaggeredState
     dt: float
     n_t: int
-    norm_P: Optional[float] = None
-    norm_H: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +145,7 @@ def prepare_infinite_well(spec, n_t=None):
     return PreparedRun(
         ops=ops, boundary=BoundaryCondition.all_dirichlet(),
         state=StaggeredState(psiR=psi_r, psiI=psi_i), dt=dt,
-        n_t=spec.default_n_t() if n_t is None else n_t,
-        norm_P=1.0, norm_H=spec.ground_energy)
+        n_t=spec.default_n_t() if n_t is None else n_t)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +450,9 @@ TUNNELING_MODE_EVEN = (True, False, True, False, True, False, True, False)
 
 TUNNELING_REGIONS = ("reactant", "barrier", "product")
 
+# Default simulated time of a tunneling run (s).
+TUNNELING_HORIZON = 1e-12
+
 # Barrier-region time-step limit used to fix the default barrier height.
 _BARRIER_DT_CFL = 55.844895610996282e-18
 
@@ -505,6 +505,9 @@ class TunnelingSpec:
         grid = self.region_grid("barrier")
         return self.dt_factor * cfl_limit(
             grid, self.region_potential("barrier", grid), self.constants)
+
+    def default_n_t(self):
+        return int(round(TUNNELING_HORIZON / self.time_step()))
 
 
 @dataclass(frozen=True)

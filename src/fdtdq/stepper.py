@@ -13,14 +13,25 @@ faces, sampled from a source for driven faces, and unused on Dirichlet-zero
 faces, whose node samples are pinned to zero and skipped by the update.
 Only the driven faces carry nonzero hanging data into the update, so H_bot
 is scattered over those faces alone.
+
+One kernel (leapfrog) and one driver loop (drive) serve a single region
+and a graph of coupled regions alike.  Regions meeting on a common face
+share its samples, which take the merged update
+
+    hbar (V''_A + V''_B) (psi^new - psi) / dt = rhs_A|face + rhs_B|face,
+
+and each region recovers its interface hanging variables from its own
+update equation, so every balance holds region by region.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .grid import FACES, face_node_slices
+from .operators import DiscreteOperators
 
 DIRICHLET0 = "dirichlet0"
 NEUMANN0 = "neumann0"
@@ -63,9 +74,11 @@ class BoundaryCondition:
             if kind == PRESCRIBED and f not in self.sources:
                 raise ValueError(f"prescribed face {f} has no source")
 
-    @property
+    @cached_property
     def driven_faces(self):
-        """Faces whose hanging variables enter the update (prescribed)."""
+        """Faces whose hanging variables enter the update (prescribed).
+
+        Cached: every half step asks for it twice."""
         return tuple(f for f in FACES if self.kinds[f] == PRESCRIBED)
 
     @property
@@ -145,54 +158,144 @@ class StepWindow:
     h_psiI_np: np.ndarray    # H psi_I^{n+1/2}
 
 
-def step(state, ops, boundary, dt, pinned=None):
-    """Advance one leap-frog step; returns (new state, StepWindow).
+@dataclass
+class Region:
+    """One rectangular region, as the driver advances it; pinned caches
+    the boundary's 3D Dirichlet mask."""
 
-    pinned may pass a precomputed Dirichlet mask (3D boolean).
+    name: str
+    ops: DiscreteOperators
+    boundary: BoundaryCondition
+    state: StaggeredState
+
+    def __post_init__(self):
+        self.grid = self.ops.grid
+        self.pinned = self.boundary.pinned_mask(self.grid)
+
+    @classmethod
+    def build(cls, name, grid, potential, constants, boundary, psiR, psiI):
+        ops = DiscreteOperators(grid, potential, constants)
+        state = StaggeredState(psiR=np.asarray(psiR, dtype=float).reshape(-1),
+                               psiI=np.asarray(psiI, dtype=float).reshape(-1))
+        return cls(name=name, ops=ops, boundary=boundary, state=state)
+
+
+def _half_step(parts, interfaces, dt, t, real_half, acting, before):
+    """One half step of every region; returns (new samples, H acting, g).
+
+    The imaginary half takes before = psi_I^{n-1/2} to psi_I^{n+1/2} with
+    right-hand side H_bot gradR^n - H psi_R^n (acting = psi_R^n, t = n dt);
+    the real half takes before = psi_R^n to psi_R^{n+1} with
+    H psi_I^{n+1/2} - H_bot gradI^{n+1/2}.  The right-hand side is built
+    and scaled in place, with the roundings of the textbook expressions.
+    """
+    new, h, grad, rhs = {}, {}, {}, {}
+    for name, (ops, bc, _, _) in parts.items():
+        grad[name] = bc.hanging_at(ops, t, part="imag" if real_half
+                                   else "real")
+        h[name] = ops.apply_H(acting[name])
+        rhs[name] = ops.apply_Hbot(grad[name], bc.driven_faces)
+        if real_half:
+            np.subtract(h[name], rhs[name], out=rhs[name])
+        else:
+            rhs[name] -= h[name]
+
+    # Merged update of the shared samples, from the unscaled right-hand
+    # sides on the interface faces.
+    merged = []
+    for itf in interfaces:
+        ops_a, ops_b = parts[itf.region_a][0], parts[itf.region_b][0]
+        sla = ops_a.face_slices[itf.face_a]
+        slb = ops_b.face_slices[itf.face_b]
+        denom = ops_a.v3[sla] + ops_b.v3[slb]
+        base = before[itf.region_a].reshape(ops_a.grid.node_shape)[sla]
+        rhs_sum = rhs[itf.region_a].reshape(ops_a.grid.node_shape)[sla] \
+            + rhs[itf.region_b].reshape(ops_b.grid.node_shape)[slb]
+        merged.append(base + (dt / ops_a.constants.hbar) * rhs_sum / denom)
+
+    for name, (ops, _, _, pinned) in parts.items():
+        upd = rhs[name]
+        upd *= dt / ops.constants.hbar
+        upd /= ops.v3.reshape(-1)
+        upd[pinned.reshape(-1)] = 0.0
+        new[name] = before[name] + upd
+
+    # Pinned samples keep their value, as their update is zero, except on
+    # the interface faces, where the merge wrote them.
+    for itf, value in zip(interfaces, merged):
+        for name, face in itf.sides:
+            ops, pinned = parts[name][0], parts[name][3]
+            sl = ops.face_slices[face]
+            shared = new[name].reshape(ops.grid.node_shape)[sl]
+            shared[...] = value
+            shared[pinned[sl]] = 0.0
+
+    # Interface hanging variables, recovered per region from its own
+    # update equation with the merged samples:
+    #   gradR = (hbar V'' dpsi/dt + (H psi_R)|face) / (kin * n * S''_b),
+    #   gradI = ((H psi_I)|face - hbar V'' dpsi/dt) / (kin * n * S''_b).
+    for itf in interfaces:
+        for name, face in itf.sides:
+            ops = parts[name][0]
+            shape = ops.grid.node_shape
+            sl = ops.face_slices[face]
+            dpsi = (new[name].reshape(shape)[sl]
+                    - before[name].reshape(shape)[sl])
+            change = ops.constants.hbar * ops.v3[sl] * dpsi / dt
+            h_face = h[name].reshape(shape)[sl]
+            ops.face_block(grad[name], face)[...] = (
+                (h_face - change) if real_half else (change + h_face)
+            ) / ops.face_coeff[face]
+    return new, h, grad
+
+
+def leapfrog(parts, interfaces, dt):
+    """Advance a set of regions joined by interfaces one leap-frog step.
+
+    The one leap-frog kernel: step is the case of one region and no
+    interfaces, coupling.coupled_step that of a region graph.  parts maps
+    region names to (ops, boundary, state, pinned), pinned being the 3D
+    Dirichlet mask; interfaces lists coupling.Interface objects, and all
+    states are at the same step.  No state is modified.  Returns
+    name -> (new state, StepWindow).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    grid = ops.grid
-    hbar = ops.constants.hbar
+    n = next(iter(parts.values()))[2].n
+    psi_r, psi_i = {}, {}
+    for name, (_, _, state, _) in parts.items():
+        psi_r[name], psi_i[name] = state.psiR, state.psiI
+    psi_i_new, h_r, grad_r = _half_step(parts, interfaces, dt, n * dt,
+                                        False, psi_r, psi_i)
+    psi_r_new, h_i, grad_i = _half_step(parts, interfaces, dt,
+                                        (n + 0.5) * dt, True, psi_i_new,
+                                        psi_r)
+    out = {}
+    for name in parts:
+        if not (np.isfinite(psi_r_new[name]).all()
+                and np.isfinite(psi_i_new[name]).all()):
+            raise DivergenceError(n + 1, float("inf"))
+        window = StepWindow(
+            n=n, psiR_n=psi_r[name], psiR_np1=psi_r_new[name],
+            psiI_nm=psi_i[name], psiI_np=psi_i_new[name],
+            gradR_n=grad_r[name], gradI_np=grad_i[name],
+            h_psiR_n=h_r[name], h_psiI_np=h_i[name])
+        state = StaggeredState(
+            psiR=psi_r_new[name], psiI=psi_i_new[name], n=n + 1,
+            psiR_prev=psi_r[name], gradR_prev=grad_r[name],
+            gradI_prev=grad_i[name])
+        out[name] = (state, window)
+    return out
+
+
+def step(state, ops, boundary, dt, pinned=None):
+    """Advance one region one leap-frog step; returns (new state, StepWindow).
+
+    pinned may pass a precomputed Dirichlet mask (3D boolean).
+    """
     if pinned is None:
-        pinned = boundary.pinned_mask(grid)
-    driven = boundary.driven_faces
-    grad_r = boundary.hanging_at(ops, state.n * dt, part="real")
-    grad_i = boundary.hanging_at(ops, (state.n + 0.5) * dt, part="imag")
-    vflat = ops.v3.reshape(-1)
-    pinned_flat = pinned.reshape(-1)
-    scale = dt / hbar
-
-    # Right-hand sides are built in place: H_bot g - H psi_R, then
-    # H psi_I - H_bot g (the same roundings as the textbook expressions).
-    h_r = ops.apply_H(state.psiR)
-    upd = ops.apply_Hbot(grad_r, driven)
-    upd -= h_r
-    upd *= scale
-    upd /= vflat
-    upd[pinned_flat] = 0.0
-    psi_i_new = state.psiI + upd
-
-    h_i = ops.apply_H(psi_i_new)
-    upd = ops.apply_Hbot(grad_i, driven)
-    np.subtract(h_i, upd, out=upd)
-    upd *= scale
-    upd /= vflat
-    upd[pinned_flat] = 0.0
-    psi_r_new = state.psiR + upd
-
-    if not (np.isfinite(psi_r_new).all() and np.isfinite(psi_i_new).all()):
-        raise DivergenceError(state.n + 1, float("inf"))
-
-    window = StepWindow(
-        n=state.n, psiR_n=state.psiR, psiR_np1=psi_r_new,
-        psiI_nm=state.psiI, psiI_np=psi_i_new,
-        gradR_n=grad_r, gradI_np=grad_i,
-        h_psiR_n=h_r, h_psiI_np=h_i)
-    new_state = StaggeredState(
-        psiR=psi_r_new, psiI=psi_i_new, n=state.n + 1,
-        psiR_prev=state.psiR, gradR_prev=grad_r, gradI_prev=grad_i)
-    return new_state, window
+        pinned = boundary.pinned_mask(ops.grid)
+    return leapfrog({None: (ops, boundary, state, pinned)}, (), dt)[None]
 
 
 def project_pinned(state, pinned):
@@ -211,43 +314,81 @@ def project_pinned(state, pinned):
     return out
 
 
-def run(state0, ops, boundary, dt, n_t, observers=(), guard_factor=1e6):
-    """Drive n_t leap-frog steps, recording diagnostics every step.
+def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6):
+    """The driver loop of run and coupling.run_coupled.
 
-    The run starts from state0 projected onto the Dirichlet constraint
-    (project_pinned); state0 itself is not modified.
-    Returns (final state, DiagnosticsSeries).  observers are callables
-    invoked as observer(window) after every step.  guard_factor sets the
-    divergence guard at guard_factor times the initial max |psi| (None
-    disables the guard); tripping it raises DivergenceError with the
-    partial series attached as exc.series.
+    regions maps names to Regions; advance() moves every region's state
+    one step and returns name -> StepWindow.  Each state is first
+    projected onto its Dirichlet constraint (project_pinned).  After
+    every step the windows are recorded and each observer is called as
+    observer(windows).  The divergence guard sits at guard_factor times
+    the initial largest |psi| over all regions (None disables it);
+    tripping it raises DivergenceError with the partial series by name
+    attached as exc.series.  Returns name -> DiagnosticsSeries.
     """
     from .diagnostics import SeriesBuilder
 
     if n_t < 0:
         raise ValueError("n_t must be nonnegative")
-    pinned = boundary.pinned_mask(ops.grid)
-    builder = SeriesBuilder(ops, dt, n_t, boundary.flux_faces)
-    state = project_pinned(state0, pinned)
+    for r in regions.values():
+        r.state = project_pinned(r.state, r.pinned)
+    builders = {name: SeriesBuilder(r.ops, dt, n_t, r.boundary.flux_faces)
+                for name, r in regions.items()}
+
+    def largest():
+        norm = 0.0
+        for r in regions.values():
+            norm = max(norm, np.max(np.abs(r.state.psiR)),
+                       np.max(np.abs(r.state.psiI)))
+        return norm
+
+    def finish():
+        return {name: b.finish(regions[name].state)
+                for name, b in builders.items()}
+
     guard = None
     if guard_factor is not None:
-        norm0 = max(np.max(np.abs(state.psiR)), np.max(np.abs(state.psiI)))
+        norm0 = largest()
         guard = guard_factor * (norm0 if norm0 > 0.0 else 1.0)
     try:
         for _ in range(n_t):
-            state, window = step(state, ops, boundary, dt, pinned=pinned)
-            builder.record(window)
+            windows = advance()
+            for name, w in windows.items():
+                builders[name].record(w)
             for obs in observers:
-                obs(window)
+                obs(windows)
             if guard is not None:
-                norm = max(np.max(np.abs(state.psiR)),
-                           np.max(np.abs(state.psiI)))
+                norm = largest()
                 if norm > guard:
-                    raise DivergenceError(state.n, float(norm))
+                    raise DivergenceError(
+                        next(iter(regions.values())).state.n, float(norm))
     except DivergenceError as exc:
-        exc.series = builder.finish(state)
+        exc.series = finish()
         raise
-    return state, builder.finish(state)
+    return finish()
+
+
+def run(state0, ops, boundary, dt, n_t, observers=(), guard_factor=1e6):
+    """Drive n_t leap-frog steps of one region, recording diagnostics.
+
+    As drive, with the region keyed None in the observers' windows; state0
+    is not modified.  Returns (final state, DiagnosticsSeries), and a
+    DivergenceError carries the region's partial series as exc.series.
+    """
+    region = Region(None, ops, boundary, state0)
+
+    def advance():
+        region.state, window = step(region.state, ops, boundary, dt,
+                                    pinned=region.pinned)
+        return {None: window}
+
+    try:
+        series = drive({None: region}, advance, dt, n_t, observers,
+                       guard_factor)
+    except DivergenceError as exc:
+        exc.series = exc.series[None]
+        raise
+    return region.state, series[None]
 
 
 def save_checkpoint(path, state):

@@ -51,7 +51,7 @@ def tunneling_run():
     antisymmetry tracking."""
     spec = sc.TunnelingSpec()
     graph, dt = sc.build_tunneling_graph(spec)
-    n_t = int(round(1e-12 / dt))
+    n_t = spec.default_n_t()
     worst = {"mismatch": 0.0, "scale": 0.0}
 
     def track(windows):

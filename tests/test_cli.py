@@ -109,14 +109,29 @@ def test_run_missing_config_is_config_error(tmp_path):
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG_ERROR
 
 
-def test_run_unstable_dt_rejected_then_diverges(tmp_path):
-    config = write_config(tmp_path, {
-        "scenario": "infinite_well", "n_cells": 6, "dt_factor": 1.2,
-        "n_t": 5000, "guard_factor": 1e3,
-    })
+@pytest.mark.parametrize("config,region", [
+    ({"scenario": "infinite_well", "n_cells": 6, "dt_factor": 1.2}, "well"),
+    # The barrier state and sources are uniform across y and z, so the
+    # fastest modes are never excited; the x modes go unstable only well
+    # past the limit.
+    ({"scenario": "barrier", "dt_factor": 3.5, "x0": 0.0}, "barrier"),
+    ({"scenario": "tunneling", "dt_factor": 1.2,
+      "cell": {"value": 0.1, "unit": "angstrom"},
+      "u0": 1.6021766551777526e-19}, "barrier"),
+], ids=["infinite_well", "barrier", "tunneling"])
+def test_run_unstable_dt_rejected_then_diverges(tmp_path, capsys, config,
+                                                region):
+    config = write_config(tmp_path, {**config, "n_t": 5000,
+                                     "guard_factor": 1e3})
     out = tmp_path / "unstable"
     assert main(["run", "--config", config,
                  "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: dt = ")
+    assert "exceeds the generalized limit" in err[0]
+    assert err[0].endswith(f"of region {region!r}; pass --allow-unstable "
+                           "to run anyway")
     code = main(["run", "--config", config, "--out", str(out),
                  "--allow-unstable"])
     assert code == EXIT_DIVERGED
@@ -217,29 +232,6 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
-
-
-def test_thread_flag_validation(tmp_path):
-    config = write_config(tmp_path, {
-        "scenario": "infinite_well", "n_cells": 6, "n_t": 1,
-    })
-    assert main(["run", "--config", config, "--out",
-                 str(tmp_path / "t"), "--threads", "0"]) == EXIT_CONFIG_ERROR
-    assert main(["run", "--config", config, "--out",
-                 str(tmp_path / "t1"), "--threads", "1"]) == EXIT_OK
-
-
-def test_thread_env_var_must_be_an_integer(tmp_path, monkeypatch, capsys):
-    config = write_config(tmp_path, {
-        "scenario": "infinite_well", "n_cells": 6, "n_t": 1,
-    })
-    monkeypatch.setenv("FDTDQ_THREADS", "x")
-    assert main(["run", "--config", config, "--out",
-                 str(tmp_path / "t")]) == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err.strip()
-    assert err.splitlines() == [
-        "configuration error: FDTDQ_THREADS must be an integer, got 'x'"]
-    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("key,settings", [

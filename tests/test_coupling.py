@@ -156,10 +156,9 @@ def test_unstable_time_step_rejected_and_override():
         for r in graph.regions.values())
     with pytest.raises(UnstableTimeStep):
         enforce_time_step(graph, dt_big)
-    with pytest.raises(UnstableTimeStep):
-        run_coupled(graph, dt_big, 1)
-    # The override runs (and is caught by the guard once it diverges).
-    series = run_coupled(graph, dt_big, 3, allow_unstable=True)
+    # run_coupled leaves the check to its caller, so an unstable dt runs
+    # (and is caught by the guard once it diverges).
+    series = run_coupled(graph, dt_big, 3)
     assert set(series) == {"A", "B"}
 
 
@@ -231,8 +230,7 @@ def test_divergence_error_carries_partial_series():
         cfl_limit(r.grid, r.ops.potential, r.ops.constants)
         for r in graph.regions.values())
     with pytest.raises(DivergenceError) as exc_info:
-        run_coupled(graph, dt_big, 20_000, guard_factor=1e3,
-                    allow_unstable=True)
+        run_coupled(graph, dt_big, 20_000, guard_factor=1e3)
     series = exc_info.value.series
     assert set(series) == {"A", "B"}
     assert series["A"].steps_completed == exc_info.value.step

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdtdq.constants import ELECTRON, EV
+from fdtdq.coupling import Region, RegionGraph, coupled_step
 from fdtdq.diagnostics import probability_current_by_face, supplied_power
 from fdtdq.grid import FACES, PotentialField, RegionGrid, face_node_slices
 from fdtdq.operators import DiscreteOperators
@@ -108,7 +109,10 @@ def assert_close(got, terms, rtol=1e-13):
 @settings(max_examples=60, deadline=None)
 @given(setups())
 def test_step_equals_all_face_reference(setup):
+    # The same region as a one-region graph, stepped by coupled_step, must
+    # give the same windows bit for bit: both entry points share a kernel.
     ops, bc, state, dt = build(setup)
+    graph = RegionGraph([Region("r", ops, bc, state)], [])
     for _ in range(3):
         ref_r, ref_i = reference_step(state, ops, bc, dt)
         state, window = step(state, ops, bc, dt)
@@ -116,6 +120,9 @@ def test_step_equals_all_face_reference(setup):
         assert np.array_equal(state.psiI, ref_i)
         assert np.array_equal(window.gradR_n, full_hanging(
             ops, bc, window.n * dt, "real"))
+        coupled = coupled_step(graph, dt)["r"]
+        for key, value in vars(window).items():
+            assert np.array_equal(getattr(coupled, key), value), key
 
 
 @settings(max_examples=60, deadline=None)

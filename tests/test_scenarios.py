@@ -74,8 +74,6 @@ def test_prepare_infinite_well():
     spec = sc.InfiniteWellSpec(n_cells=6)
     prep = sc.prepare_infinite_well(spec, n_t=7)
     assert prep.n_t == 7
-    assert prep.norm_P == 1.0
-    assert prep.norm_H == spec.ground_energy
     assert prep.dt == spec.time_step()
 
 
