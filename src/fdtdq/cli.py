@@ -28,6 +28,7 @@ from .constants import EV, to_si
 from .coupling import (RegionGraph, UnstableTimeStep,
                        cross_region_conservation, enforce_time_step,
                        run_coupled)
+from .diagnostics import atomic_open
 from .grid import PotentialField, RegionGrid
 from .operators import DiscreteOperators
 from .stability import cfl_limit, check_theorems
@@ -324,6 +325,13 @@ SCENARIOS = {
 }
 
 
+def _write_json(path, obj):
+    """Indented JSON plus a newline, written atomically."""
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def cmd_run(args):
     cfg = RunConfig.load(args.config, stride=args.stride,
                          allow_unstable=args.allow_unstable)
@@ -362,9 +370,7 @@ def cmd_run(args):
         "regions": regions,
     }
     summary_path = out_dir / "summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(summary_path, summary)
     print(f"wrote {summary_path}")
     return EXIT_DIVERGED if diverged_at is not None else EXIT_OK
 
@@ -385,9 +391,7 @@ def cmd_cfl(args):
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "stability.json"
-        with open(path, "w") as fh:
-            json.dump(reports, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, reports)
         print(f"wrote {path}")
     return EXIT_OK
 

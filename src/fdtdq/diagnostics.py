@@ -25,7 +25,10 @@ runs produce identical digits.
 """
 
 import csv as _csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -35,6 +38,25 @@ from .grid import FACES
 CSV_COLUMNS = ("n", "t_seconds", "P", "P_simple",
                "I_P_total", "I_P_W", "I_P_E", "I_P_S", "I_P_N", "I_P_B",
                "I_P_T", "H", "H_simple", "s", "residual_P", "residual_H")
+
+
+@contextmanager
+def atomic_open(path, newline=None):
+    """Open path for writing text through a temporary file next to it.
+
+    The temporary file replaces path (os.replace) only when the block
+    completes; if the block raises, it is removed and path is left as it
+    was, so a reader never sees a partial file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _dot(a, b):
@@ -224,7 +246,7 @@ class DiagnosticsSeries:
                 return ""
             return f"{value:.17g}"
 
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = _csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             if self.n_t == 0:

@@ -11,8 +11,15 @@ boundary) onto their collocated nodes:
     H_bot = (hbar^2 / 2m) L (n.) S''_b
 
 Both are available assembled (scipy.sparse, for spectral analysis on small
-grids) and matrix-free (numpy stencils, used for stepping).  The 2N x 2N
-probability matrix is
+grids) and matrix-free (numpy stencils, used for stepping).  The
+matrix-free H keeps the flux form, differences before sums, so it
+annihilates a constant exactly (an assembled CSR product does not).  It
+works on the flat node vector, in which the x, y and z neighbours of a
+node sit 1, nx+1 and (nx+1)(ny+1) entries away: along each axis one
+contiguous difference v[off:] - v[:-off], scaled by the edge
+coefficients kin * S''/l' and zeroed where the pair wraps to the next row
+or plane, is the edge flux, which leaves its tail node and enters its
+head node.  The 2N x 2N probability matrix is
 
     P = [[V'', -(dt/2 hbar) H], [-(dt/2 hbar) H, V'']].
 """
@@ -96,9 +103,10 @@ class DiscreteOperators:
         wy = boundary_weights(grid.ny + 1)
         wz = boundary_weights(grid.nz + 1)
 
-        # Secondary volumes and the local potential term, as 3D arrays.
+        # Secondary volumes, as a 3D array, and the local potential term
+        # V'' U, flat.
         self.v3 = self.metrics.v.reshape(shape)
-        self._uv3 = self.v3 * potential.values.reshape(shape)
+        self._uv = self.metrics.v * potential.values
 
         # Edge-flux coefficients kin * (secondary area / edge length), with
         # the transverse boundary weights baked in, shaped for broadcasting
@@ -109,6 +117,13 @@ class DiscreteOperators:
             * wz[:, None, None] * wx[None, None, :]
         self._cz = kin * (grid.dx * grid.dy / grid.dz) \
             * wy[None, :, None] * wx[None, None, :]
+        # Flat offsets of the x, y and z neighbours, with the coefficients
+        # and the nodes last along each axis, whose flat difference pairs
+        # them with the next row or plane (or runs past the end).
+        nx1 = grid.nx + 1
+        self._axes = ((1, self._cx, (Ellipsis, -1)),
+                      (nx1, self._cy, (slice(None), -1)),
+                      (nx1 * (grid.ny + 1), self._cz, -1))
 
         # Per-face boundary coefficients kin * sign * S''_b as 2D arrays.
         face_weights = {
@@ -153,21 +168,29 @@ class DiscreteOperators:
     # ---- matrix-free applications --------------------------------------
 
     def apply_H(self, v):
-        """H v for a flat node vector v, via stencil operations."""
-        if v.size != self.grid.n_nodes:
+        """H v for a flat node vector v, (N,) or (N, 1), in flux form.
+
+        Along each axis, the neighbour differences of the flat vector are
+        taken into one scratch array, scaled by the edge coefficients, and
+        their pairs that wrap to the next row or plane are zeroed; then
+        each edge flux leaves its tail node and enters its head node.
+        """
+        n = self.grid.n_nodes
+        if v.size != n:
             raise ValueError("vector length does not match node count")
-        psi = v.reshape(self.grid.node_shape)
-        out = self._uv3 * psi
-        g = self._cx * np.diff(psi, axis=2)
-        out[:, :, :-1] -= g
-        out[:, :, 1:] += g
-        g = self._cy * np.diff(psi, axis=1)
-        out[:, :-1, :] -= g
-        out[:, 1:, :] += g
-        g = self._cz * np.diff(psi, axis=0)
-        out[:-1, :, :] -= g
-        out[1:, :, :] += g
-        return out.reshape(-1)
+        v = v.reshape(-1)
+        out = self._uv * v
+        g = np.empty(n, dtype=out.dtype)
+        g3 = g.reshape(self.grid.node_shape)
+        for off, coeff, wrap in self._axes:
+            m = n - off
+            g[m:] = 0.0  # the unused tail, so the multiply sees no garbage
+            np.subtract(v[off:], v[:m], out=g[:m])
+            g3 *= coeff
+            g3[wrap] = 0.0
+            out[:m] -= g[:m]
+            out[off:] += g[:m]
+        return out
 
     def apply_Hbot(self, b, faces=FACES):
         """H_bot b: scatter hanging variables onto boundary nodes.

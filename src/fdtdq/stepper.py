@@ -26,11 +26,11 @@ update equation, so every balance holds region by region.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grid import FACES, face_node_slices
+from .grid import FACE_AXIS, FACES, face_node_slices
 from .operators import DiscreteOperators
 
 DIRICHLET0 = "dirichlet0"
@@ -47,6 +47,14 @@ class DivergenceError(RuntimeError):
             f"solution diverged at step {step} (max |psi| = {norm:.3e})")
         self.step = step
         self.norm = norm
+
+
+class PinnedNodes(NamedTuple):
+    """The nodes Dirichlet faces pin to zero, as a 3D mask and as flat
+    indices (the update re-zeroes them through the indices)."""
+
+    mask: np.ndarray
+    flat: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,11 @@ class BoundaryCondition:
                 mask[face_node_slices(grid, f)] = True
         return mask
 
+    def pinned_nodes(self, grid):
+        """PinnedNodes of the grid's Dirichlet faces."""
+        mask = self.pinned_mask(grid)
+        return PinnedNodes(mask, np.flatnonzero(mask))
+
     def hanging_at(self, ops, t, part="real"):
         """Full hanging-variable vector at time t (zeros except sources).
 
@@ -161,7 +174,7 @@ class StepWindow:
 @dataclass
 class Region:
     """One rectangular region, as the driver advances it; pinned caches
-    the boundary's 3D Dirichlet mask."""
+    the boundary's PinnedNodes."""
 
     name: str
     ops: DiscreteOperators
@@ -170,7 +183,7 @@ class Region:
 
     def __post_init__(self):
         self.grid = self.ops.grid
-        self.pinned = self.boundary.pinned_mask(self.grid)
+        self.pinned = self.boundary.pinned_nodes(self.grid)
 
     @classmethod
     def build(cls, name, grid, potential, constants, boundary, psiR, psiI):
@@ -216,9 +229,9 @@ def _half_step(parts, interfaces, dt, t, real_half, acting, before):
     for name, (ops, _, _, pinned) in parts.items():
         upd = rhs[name]
         upd *= dt / ops.constants.hbar
-        upd /= ops.v3.reshape(-1)
-        upd[pinned.reshape(-1)] = 0.0
-        new[name] = before[name] + upd
+        upd /= ops.metrics.v
+        upd[pinned.flat] = 0.0
+        new[name] = np.add(before[name], upd, out=upd)
 
     # Pinned samples keep their value, as their update is zero, except on
     # the interface faces, where the merge wrote them.
@@ -228,7 +241,7 @@ def _half_step(parts, interfaces, dt, t, real_half, acting, before):
             sl = ops.face_slices[face]
             shared = new[name].reshape(ops.grid.node_shape)[sl]
             shared[...] = value
-            shared[pinned[sl]] = 0.0
+            shared[pinned.mask[sl]] = 0.0
 
     # Interface hanging variables, recovered per region from its own
     # update equation with the merged samples:
@@ -254,9 +267,9 @@ def leapfrog(parts, interfaces, dt):
 
     The one leap-frog kernel: step is the case of one region and no
     interfaces, coupling.coupled_step that of a region graph.  parts maps
-    region names to (ops, boundary, state, pinned), pinned being the 3D
-    Dirichlet mask; interfaces lists coupling.Interface objects, and all
-    states are at the same step.  No state is modified.  Returns
+    region names to (ops, boundary, state, pinned), pinned being the
+    region's PinnedNodes; interfaces lists coupling.Interface objects, and
+    all states are at the same step.  No state is modified.  Returns
     name -> (new state, StepWindow).
     """
     if dt <= 0.0:
@@ -291,10 +304,10 @@ def leapfrog(parts, interfaces, dt):
 def step(state, ops, boundary, dt, pinned=None):
     """Advance one region one leap-frog step; returns (new state, StepWindow).
 
-    pinned may pass a precomputed Dirichlet mask (3D boolean).
+    pinned may pass the precomputed BoundaryCondition.pinned_nodes.
     """
     if pinned is None:
-        pinned = boundary.pinned_mask(ops.grid)
+        pinned = boundary.pinned_nodes(ops.grid)
     return leapfrog({None: (ops, boundary, state, pinned)}, (), dt)[None]
 
 
@@ -306,12 +319,31 @@ def project_pinned(state, pinned):
     balance from the first step.  Returns state itself when nothing is
     pinned, else a projected copy.
     """
-    if not pinned.any():
+    if not pinned.flat.size:
         return state
     out = state.copy()
-    out.psiR[pinned.reshape(-1)] = 0.0
-    out.psiI[pinned.reshape(-1)] = 0.0
+    out.psiR[pinned.flat] = 0.0
+    out.psiI[pinned.flat] = 0.0
     return out
+
+
+def _driven_spans(region):
+    """(start, stop, cell length) of the hanging-vector spans that hold a
+    region's prescribed faces, one per face axis (the two faces of an
+    axis sit next to each other in the layout)."""
+    offsets = region.grid.hanging_offsets()
+    spans = {}
+    for f in region.boundary.driven_faces:
+        start, stop = offsets[f], offsets[f] + region.grid.face_size(f)
+        lo, hi = spans.get(FACE_AXIS[f], (start, stop))
+        spans[FACE_AXIS[f]] = (min(lo, start), max(hi, stop))
+    return [(lo, hi, region.grid.spacing(axis))
+            for axis, (lo, hi) in spans.items()]
+
+
+def _largest(arrays):
+    """Largest |x| over the arrays, without temporaries."""
+    return max(max(x.max(), -x.min()) for x in arrays)
 
 
 def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6):
@@ -322,7 +354,10 @@ def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6):
     projected onto its Dirichlet constraint (project_pinned).  After
     every step the windows are recorded and each observer is called as
     observer(windows).  The divergence guard sits at guard_factor times
-    the initial largest |psi| over all regions (None disables it);
+    the larger of the initial largest |psi| over all regions and the
+    running largest |prescribed hanging value| times the cell length
+    along its face axis, so a driven region that starts nearly empty
+    does not trip it when the drive arrives (None disables it);
     tripping it raises DivergenceError with the partial series by name
     attached as exc.series.  Returns name -> DiagnosticsSeries.
     """
@@ -334,13 +369,12 @@ def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6):
         r.state = project_pinned(r.state, r.pinned)
     builders = {name: SeriesBuilder(r.ops, dt, n_t, r.boundary.flux_faces)
                 for name, r in regions.items()}
+    driven = {name: _driven_spans(r) for name, r in regions.items()
+              if r.boundary.driven_faces}
 
     def largest():
-        norm = 0.0
-        for r in regions.values():
-            norm = max(norm, np.max(np.abs(r.state.psiR)),
-                       np.max(np.abs(r.state.psiI)))
-        return norm
+        return _largest([x for r in regions.values()
+                         for x in (r.state.psiR, r.state.psiI)])
 
     def finish():
         return {name: b.finish(regions[name].state)
@@ -358,6 +392,11 @@ def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6):
             for obs in observers:
                 obs(windows)
             if guard is not None:
+                for name, spans in driven.items():
+                    w = windows[name]
+                    for lo, hi, h in spans:
+                        guard = max(guard, guard_factor * h * _largest(
+                            (w.gradR_n[lo:hi], w.gradI_np[lo:hi])))
                 norm = largest()
                 if norm > guard:
                     raise DivergenceError(

@@ -1,9 +1,11 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fdtdq import cli
 from fdtdq import scenarios as sc
 from fdtdq.cli import (EXIT_CONFIG_ERROR, EXIT_DIVERGED, EXIT_OK,
                        EXIT_VERIFY_FAILED, ConfigError, RunConfig,
@@ -139,6 +141,42 @@ def test_run_unstable_dt_rejected_then_diverges(tmp_path, capsys, config,
     assert summary["diverged"] is True
     assert 0 < summary["diverged_at"] <= 5000
     assert summary["steps_completed"] == summary["diverged_at"]
+
+
+def test_driven_region_filling_from_empty_does_not_trip_the_guard(tmp_path):
+    # The packet starts 200 nm west of the region, whose initial largest
+    # |psi| is tiny; a guard scaled by it alone tripped at step 2181 with
+    # P about 1e-21.  The drive's running amplitude scales it too.
+    config = write_config(tmp_path, {"scenario": "barrier", "n_t": 3000,
+                                     "guard_factor": 1e3})
+    out = tmp_path / "filling"
+    assert main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diverged"] is False
+    assert summary["steps_completed"] == 3000
+
+
+def test_summary_write_is_atomic(tmp_path, monkeypatch):
+    config = write_config(tmp_path, {
+        "scenario": "infinite_well", "n_cells": 4, "n_t": 5,
+    })
+    out = tmp_path / "atomic"
+    assert main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
+    earlier = (out / "summary.json").read_bytes()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"schema_version": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "json", SimpleNamespace(
+        load=json.load, JSONDecodeError=json.JSONDecodeError,
+        dump=failing_dump))
+    with pytest.raises(OSError):
+        main(["run", "--config", config, "--out", str(out),
+              "--stride", "2"])
+    assert (out / "summary.json").read_bytes() == earlier
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json",
+                                                      "well.csv"]
 
 
 def test_run_stride_flag_overrides_config(tmp_path):

@@ -1,8 +1,10 @@
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fdtdq import diagnostics
 from fdtdq.constants import ELECTRON
 from fdtdq.diagnostics import (CSV_COLUMNS, DiagnosticsSeries, SeriesBuilder,
                                energy_lower_bound, energy_simple,
@@ -250,3 +252,33 @@ def test_csv_byte_identical_across_repeat_runs(tmp_path):
         series.write_csv(p)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_csv_write_is_atomic(tmp_path, monkeypatch):
+    ops = make_ops(seed=26)
+    bc, state = driven_setup(ops, seed=27)
+    dt = 0.5 * cfl_limit(ops.grid, ops.potential, ops.constants)
+    _, series = run(state, ops, bc, dt, 12)
+    path = tmp_path / "series.csv"
+    series.write_csv(path)
+    earlier = path.read_bytes()
+
+    class FailingWriter:
+        """A csv writer that raises after a few rows, mid-file."""
+
+        def __init__(self, fh):
+            self.writer, self.rows = csv.writer(fh), 0
+
+        def writerow(self, row):
+            if self.rows == 4:
+                raise OSError("no space left on device")
+            self.rows += 1
+            self.writer.writerow(row)
+
+    monkeypatch.setattr(diagnostics, "_csv",
+                        SimpleNamespace(writer=FailingWriter))
+    series.compute_residuals(norm_P=1.0, norm_H=1.0)
+    with pytest.raises(OSError):
+        series.write_csv(path)
+    assert path.read_bytes() == earlier
+    assert list(tmp_path.iterdir()) == [path]

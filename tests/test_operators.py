@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdtdq.constants import ELECTRON, PhysicalConstants
-from fdtdq.grid import FACES, RegionGrid, PotentialField, metric_diagonals
+from fdtdq.grid import (FACES, RegionGrid, PotentialField, boundary_weights,
+                        metric_diagonals)
 from fdtdq.operators import (DiscreteOperators, MAX_ASSEMBLY_NODES,
                              build_boundary_L, build_incidence_D)
 
@@ -91,6 +92,57 @@ def test_Hbot_transpose_adjoint_identity():
     lhs = float(v @ ops.apply_Hbot(b))
     rhs = float(ops.apply_Hbot_T(v) @ b)
     assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+def stencil_3d_H(ops, v):
+    """The 3-D stencil form of apply_H (np.diff along each node axis),
+    as the bitwise reference of the flat-offset form."""
+    grid, kin = ops.grid, ops.constants.kinetic_factor
+    shape = grid.node_shape
+    wx = boundary_weights(grid.nx + 1)
+    wy = boundary_weights(grid.ny + 1)
+    wz = boundary_weights(grid.nz + 1)
+    cx = kin * (grid.dy * grid.dz / grid.dx) \
+        * wz[:, None, None] * wy[None, :, None]
+    cy = kin * (grid.dx * grid.dz / grid.dy) \
+        * wz[:, None, None] * wx[None, None, :]
+    cz = kin * (grid.dx * grid.dy / grid.dz) \
+        * wy[None, :, None] * wx[None, None, :]
+    psi = v.reshape(shape)
+    out = (ops.metrics.v.reshape(shape)
+           * ops.potential.values.reshape(shape)) * psi
+    g = cx * np.diff(psi, axis=2)
+    out[:, :, :-1] -= g
+    out[:, :, 1:] += g
+    g = cy * np.diff(psi, axis=1)
+    out[:, :-1, :] -= g
+    out[:, 1:, :] += g
+    g = cz * np.diff(psi, axis=0)
+    out[:-1, :, :] -= g
+    out[1:, :, :] += g
+    return out.reshape(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.tuples(*[st.integers(1, 4)] * 3),
+       spacing=st.tuples(*[st.floats(0.3e-9, 3e-9)] * 3),
+       seed=st.integers(0, 2**32 - 1), complex_v=st.booleans())
+def test_flat_offset_H_equals_3d_stencil_bitwise(cells, spacing, seed,
+                                                 complex_v):
+    # nx = 1 or ny = 1 puts every x (y) difference next to a row (plane)
+    # wrap, which the flat form has to zero.
+    grid = RegionGrid(*cells, *spacing)
+    rng = np.random.default_rng(seed)
+    u = 1.6e-19 * rng.uniform(-1.0, 1.0, grid.n_nodes)
+    ops = DiscreteOperators(grid, PotentialField(grid, u), ELECTRON)
+    v = rng.standard_normal(grid.n_nodes)
+    if complex_v:
+        v = v + 1j * rng.standard_normal(grid.n_nodes)
+    ref = stencil_3d_H(ops, v)
+    got = ops.apply_H(v)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+    assert np.array_equal(ops.apply_H(v[:, None]), ref)
 
 
 def test_H_annihilates_constants_when_potential_is_zero():
