@@ -432,6 +432,17 @@ def _verify_checks():
                    float(np.max(np.abs(analytic - dense))
                          / np.max(np.abs(dense))), 1e-13))
 
+    # The verify grid's U is 3-D, so spectral_radius falls back to the
+    # dense solve there; this grid's U varies along y only.
+    agrid = RegionGrid(6, 3, 2, 0.8e-9, 1.1e-9, 1.4e-9)
+    profile = rng.uniform(-1.0, 1.0, agrid.ny + 1) * EV
+    aops = DiscreteOperators(agrid, PotentialField(agrid, np.broadcast_to(
+        profile[None, :, None], agrid.node_shape)), ELECTRON)
+    rho_dense = spectral_radius(aops, method="dense")
+    checks.append(("per-axis rho(Sigma) vs dense",
+                   abs(spectral_radius(aops) - rho_dense)
+                   / rho_dense, 1e-13))
+
     rho = spectral_radius(ops, method="dense")
     dt_gen = 2.0 / rho
     cell_min, _ = per_cell_cfl_gen(grid, u, ELECTRON)

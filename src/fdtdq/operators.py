@@ -22,10 +22,12 @@ or plane, is the edge flux, which leaves its tail node and enters its
 head node.  The 2N x 2N probability matrix is
 
     P = [[V'', -(dt/2 hbar) H], [-(dt/2 hbar) H, V'']].
+
+scipy.sparse is imported by the assembly functions only, so stepping never
+loads it.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import (FACES, FACE_SIGN, boundary_weights, face_node_slices,
                    metric_diagonals)
@@ -37,6 +39,8 @@ MAX_ASSEMBLY_NODES = 200_000
 
 def _difference_matrix(m):
     """W_m = [0 | I] - [I | 0], shape m x (m+1)."""
+    import scipy.sparse as sp
+
     return sp.eye(m, m + 1, k=1, format="csr") - sp.eye(m, m + 1, k=0,
                                                         format="csr")
 
@@ -47,6 +51,8 @@ def build_incidence_D(grid):
     Each column holds +1 at the tail node and -1 at the head node of the
     corresponding primary edge.
     """
+    import scipy.sparse as sp
+
     ix = sp.identity(grid.nx + 1, format="csr")
     iy = sp.identity(grid.ny + 1, format="csr")
     iz = sp.identity(grid.nz + 1, format="csr")
@@ -61,6 +67,8 @@ def build_incidence_D(grid):
 
 def _basis_column(p, m):
     """e{p, m}: m x 1 sparse column with a 1 in (1-based) position p."""
+    import scipy.sparse as sp
+
     return sp.csr_matrix((np.ones(1), (np.array([p - 1]), np.array([0]))),
                          shape=(m, 1))
 
@@ -71,6 +79,8 @@ def build_boundary_L(grid):
     Face blocks in W, E, S, N, B, T order; each column holds a single +1 at
     the node collocated with the hanging variable.
     """
+    import scipy.sparse as sp
+
     nx1, ny1, nz1 = grid.nx + 1, grid.ny + 1, grid.nz + 1
     ix = sp.identity(nx1, format="csr")
     iy = sp.identity(ny1, format="csr")
@@ -237,6 +247,8 @@ class DiscreteOperators:
 
     def assemble_H(self):
         """Explicit sparse H (symmetric)."""
+        import scipy.sparse as sp
+
         self._check_assembly_size()
         d = build_incidence_D(self.grid)
         m = self.metrics
@@ -247,6 +259,8 @@ class DiscreteOperators:
 
     def assemble_Hbot(self):
         """Explicit sparse H_bot, nodes x hanging variables."""
+        import scipy.sparse as sp
+
         self._check_assembly_size()
         ell = build_boundary_L(self.grid)
         m = self.metrics
@@ -255,6 +269,8 @@ class DiscreteOperators:
 
     def assemble_P(self, dt):
         """Explicit sparse probability matrix P for a given time step."""
+        import scipy.sparse as sp
+
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         self._check_assembly_size()

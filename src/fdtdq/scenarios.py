@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import (BOLTZMANN, ELECTRON, EV, PROTON_1DA,
                         PhysicalConstants)
@@ -545,6 +544,8 @@ def _matching_residual(spec, e_x, even):
 
 def tunneling_mode_energies(spec, bracket_rel=5e-3):
     """The four x-energies (J), root-solved near the tabulated values."""
+    from scipy.optimize import brentq
+
     out = []
     for i, e_mev in enumerate(TUNNELING_EX_MEV):
         even = (i % 2 == 0)

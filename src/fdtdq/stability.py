@@ -9,22 +9,30 @@ the generalized limit
 
     dt_CFL,gen = 2 / rho(Sigma),   Sigma = (1/hbar) V''^{-1/2} H V''^{-1/2}.
 
-rho(Sigma) comes from a dense symmetric eigensolve on small grids and from
+V'' is the Kronecker product of per-axis weights, so the kinetic part of
+Sigma is a Kronecker sum of three symmetric tridiagonal 1-D matrices
+(kin / h^2) W^{-1/2} L W^{-1/2}.  When U varies along at most one axis its
+diagonal joins that axis's matrix, Sigma's eigenvalues are sums of three
+1-D eigenvalues, and rho(Sigma) comes from three tridiagonal solves.  Any
+other potential takes a dense symmetric eigensolve on small grids and
 matrix-free Lanczos iteration on large ones; a deterministic power
 iteration is kept alongside as an independent cross-check.  The per-cell
 decomposition bounds dt_CFL <= min over cells of dt_CFL,gen(cell)
 <= dt_CFL,gen, with a closed form for the single-cell spectrum under a
 uniform potential.
+
+lambda_min(P) and kappa(P) need the extreme eigenvalues of the two blocks
+V'' -/+ c H; each is solved once per operator set and time step and kept
+on the operators.
 """
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .constants import PhysicalConstants
-from .grid import PotentialField, RegionGrid
+from .grid import PotentialField, RegionGrid, boundary_weights
 from .operators import DiscreteOperators
 
 DENSE_EIG_MAX_NODES = 4096
@@ -49,16 +57,21 @@ def cfl_limit(grid, potential, constants):
     return 2.0 / (kin + potential.max_abs / hbar)
 
 
+_LCG_MULT = np.uint64(6364136223846793005)
+_LCG_INC = np.uint64(1442695040888963407)
+
+
 def _lcg_start_vector(n, seed):
-    """Deterministic start vector from a 64-bit linear congruential run."""
-    state = np.uint64(seed)
-    mult = np.uint64(6364136223846793005)
-    inc = np.uint64(1442695040888963407)
-    out = np.empty(n)
-    with np.errstate(over="ignore"):
-        for i in range(n):
-            state = state * mult + inc
-            out[i] = float(state) / 2.0**64 - 0.5
+    """Deterministic start vector from a 64-bit linear congruential run.
+
+    State i (1-based) of x -> a x + c is a^i seed + c (a^0 + ... +
+    a^(i-1)); the powers and their partial sums wrap mod 2^64 like the
+    run itself, so the whole run is a jump-ahead of n states at once.
+    """
+    powers = np.cumprod(np.full(n, _LCG_MULT))       # a^1 .. a^n
+    sums = np.cumsum(powers) - powers + np.uint64(1)  # a^0 + .. + a^(i-1)
+    states = powers * np.uint64(seed) + _LCG_INC * sums
+    out = states.astype(float) / 2.0**64 - 0.5
     norm = np.linalg.norm(out)
     return out / norm
 
@@ -120,15 +133,78 @@ def spectral_radius_power(ops, tol=1e-13, max_iter=100_000):
                                tol=tol, max_iter=max_iter)
 
 
+def _lanczos_extreme(matvec, n, seed, which, maxiter):
+    """One extreme eigenvalue of a symmetric operator by matrix-free Lanczos."""
+    import scipy.sparse.linalg as spla
+
+    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    vals = spla.eigsh(op, k=1, which=which, v0=_lcg_start_vector(n, seed),
+                      tol=0, maxiter=maxiter, return_eigenvectors=False)
+    return float(vals[0])
+
+
+def _one_axis_potential(potential):
+    """(axis, 1-D profile) if U varies along at most one axis, else None.
+
+    The test is exact: U must equal its profile along the axis (taken at
+    the first node of the other two) broadcast back over the grid.
+    Axes are 0, 1, 2 for x, y, z.
+    """
+    u3 = potential.as_3d()
+    for axis in range(3):
+        dim = 2 - axis  # 3D node arrays are indexed [z, y, x]
+        keep = tuple(slice(None) if d == dim else slice(0, 1)
+                     for d in range(3))
+        profile = u3[keep]
+        if np.array_equal(u3, np.broadcast_to(profile, u3.shape)):
+            return axis, profile.reshape(-1)
+    return None
+
+
+def _axis_spectrum(m, h, kin, u):
+    """Eigenvalues of the 1-D matrix (kin / h^2) W^{-1/2} L W^{-1/2} + diag(u).
+
+    L is the path-graph Laplacian of m + 1 nodes and W the boundary
+    weights diag(1/2, 1, ..., 1, 1/2).
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    w = boundary_weights(m + 1)
+    lap = np.full(m + 1, 2.0)
+    lap[[0, -1]] = 1.0
+    scale = kin / h**2
+    diag = scale * lap / w + u
+    off = -scale / np.sqrt(w[:-1] * w[1:])
+    return eigh_tridiagonal(diag, off, eigvals_only=True)
+
+
+def _separable_spectral_radius(ops, axis, profile):
+    """rho(Sigma) from the three 1-D spectra of its Kronecker sum."""
+    grid = ops.grid
+    kin = ops.constants.kinetic_factor
+    lo = hi = 0.0
+    for a, (m, h) in enumerate(((grid.nx, grid.dx), (grid.ny, grid.dy),
+                                (grid.nz, grid.dz))):
+        vals = _axis_spectrum(m, h, kin, profile if a == axis else 0.0)
+        lo += vals[0]
+        hi += vals[-1]
+    return float(max(abs(lo), abs(hi)) / ops.constants.hbar)
+
+
 def spectral_radius(ops, method="auto"):
     """rho(Sigma), the spectral radius of the symmetrized Hamiltonian.
 
     method "dense" forces a full symmetric eigensolve, "lanczos" the
     matrix-free route, "power" the power-iteration cross-check; "auto"
-    picks dense up to 4096 nodes and Lanczos beyond.
+    sums the extremes of the three 1-D spectra when U varies along at
+    most one axis, and otherwise picks dense up to 4096 nodes and Lanczos
+    beyond.
     """
     n = ops.grid.n_nodes
     if method == "auto":
+        separable = _one_axis_potential(ops.potential)
+        if separable is not None:
+            return _separable_spectral_radius(ops, *separable)
         method = "dense" if n <= DENSE_EIG_MAX_NODES else "lanczos"
     if method == "dense":
         vals = np.linalg.eigvalsh(ops.assemble_sigma_dense())
@@ -136,12 +212,8 @@ def spectral_radius(ops, method="auto"):
     if method == "power":
         return spectral_radius_power(ops)
     if method == "lanczos":
-        op = spla.LinearOperator((n, n), matvec=ops.apply_sigma,
-                                 dtype=float)
-        v0 = _lcg_start_vector(n, _grid_seed(ops.grid))
-        vals = spla.eigsh(op, k=1, which="LM", v0=v0, tol=0,
-                          maxiter=100 * n, return_eigenvectors=False)
-        return float(np.abs(vals[0]))
+        return abs(_lanczos_extreme(ops.apply_sigma, n, _grid_seed(ops.grid),
+                                    "LM", 100 * n))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -200,23 +272,36 @@ def per_cell_cfl_gen(grid, potential, constants):
 
 
 def _block_extreme(ops, c, sign, which):
-    """Extreme eigenvalue of V'' + sign * c * H (sign in {-1, +1})."""
+    """Extreme eigenvalue of V'' + sign * c * H (sign in {-1, +1}).
+
+    "SA" is the smallest and "LA" the largest.  Values are kept on ops, so
+    each is solved once: up to 4096 nodes H is assembled once and one
+    dense solve per block gives both ends of both blocks; beyond, each
+    end of each block is one matrix-free Lanczos run.
+    """
+    ends = ops.__dict__.setdefault("_block_ends", {})
+    key = (c, sign, which)
+    if key in ends:
+        return ends[key]
     n = ops.grid.n_nodes
-    if n <= DENSE_EIG_MAX_NODES:
-        h = ops.assemble_H().toarray()
-        mat = np.diag(ops.metrics.v) + sign * c * h
-        vals = np.linalg.eigvalsh(mat)
-        return float(vals[0] if which == "SA" else vals[-1])
     v = ops.metrics.v
+    if n <= DENSE_EIG_MAX_NODES:
+        h = ops.assemble_H()
+        diag = np.diag_indices(n)
+        for s in (-1.0, 1.0):
+            mat = (h * (s * c)).toarray()
+            mat[diag] += v
+            vals = np.linalg.eigvalsh(mat)
+            ends[(c, s, "SA")] = float(vals[0])
+            ends[(c, s, "LA")] = float(vals[-1])
+        return ends[key]
 
     def matvec(x):
         return v * x + sign * c * ops.apply_H(x)
 
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    v0 = _lcg_start_vector(n, _grid_seed(ops.grid, salt=2))
-    vals = spla.eigsh(op, k=1, which=which, v0=v0, tol=0,
-                      maxiter=200 * n, return_eigenvectors=False)
-    return float(vals[0])
+    ends[key] = _lanczos_extreme(matvec, n, _grid_seed(ops.grid, salt=2),
+                                 which, 200 * n)
+    return ends[key]
 
 
 def lambda_min_P(ops, dt):
@@ -237,12 +322,12 @@ def kappa_P(ops, dt):
     c = dt / (2.0 * ops.constants.hbar)
     lo = min(_block_extreme(ops, c, -1.0, "SA"),
              _block_extreme(ops, c, +1.0, "SA"))
-    hi = max(_block_extreme(ops, c, -1.0, "LA"),
-             _block_extreme(ops, c, +1.0, "LA"))
     if lo <= 0.0:
         raise StabilityError(
             "probability matrix is not positive definite at this dt",
             last_estimate=lo)
+    hi = max(_block_extreme(ops, c, -1.0, "LA"),
+             _block_extreme(ops, c, +1.0, "LA"))
     return hi / lo
 
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -270,6 +274,37 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def test_verify_compares_the_per_axis_spectrum_with_dense():
+    checks = {name: (residual, tol)
+              for name, residual, tol in cli._verify_checks()}
+    residual, tol = checks["per-axis rho(Sigma) vs dense"]
+    assert tol == 1e-13 and residual <= tol
+
+
+def test_well_run_loads_no_sparse_or_optimize_scipy(tmp_path):
+    # The cold start of a run stays cheap only while no module imports
+    # scipy.sparse or scipy.optimize at top level.
+    config = write_config(tmp_path, {"scenario": "infinite_well",
+                                     "n_cells": 4, "n_t": 3})
+    script = (
+        "import sys\n"
+        "from fdtdq.cli import main\n"
+        "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "loaded = [m for m in ('scipy.sparse', 'scipy.optimize')\n"
+        "          if m in sys.modules]\n"
+        "print('loaded:', ','.join(loaded))\n"
+        "sys.exit(code)\n")
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, config, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded: "
 
 
 @pytest.mark.parametrize("key,settings", [

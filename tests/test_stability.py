@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from fdtdq.constants import ELECTRON, EV, HBAR, PhysicalConstants
 from fdtdq.grid import RegionGrid, PotentialField
 from fdtdq.operators import DiscreteOperators
-from fdtdq.stability import (StabilityError, cfl_gen_limit, cfl_limit,
-                             check_theorems, kappa_P, lambda_min_P,
-                             per_cell_cfl_gen, power_iteration,
-                             single_cell_sigma_eigvals, spectral_radius,
-                             spectral_radius_power)
+from fdtdq import stability
+from fdtdq.stability import (StabilityError, _lcg_start_vector,
+                             cfl_gen_limit, cfl_limit, check_theorems,
+                             kappa_P, lambda_min_P, per_cell_cfl_gen,
+                             power_iteration, single_cell_sigma_eigvals,
+                             spectral_radius, spectral_radius_power)
 
 
 def make_ops(nx, ny, nz, spacing=1e-9, u_scale=0.0, seed=0, u_offset=0.0):
@@ -182,3 +183,124 @@ def test_mass_scaling_of_limits():
     heavy = DiscreteOperators(grid, pot, PhysicalConstants(mass=2e-30))
     assert cfl_gen_limit(heavy, method="dense") == pytest.approx(
         2.0 * cfl_gen_limit(light, method="dense"), rel=1e-12)
+
+
+def _scalar_lcg_start_vector(n, seed):
+    state = np.uint64(seed)
+    mult = np.uint64(6364136223846793005)
+    inc = np.uint64(1442695040888963407)
+    out = np.empty(n)
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            state = state * mult + inc
+            out[i] = float(state) / 2.0**64 - 0.5
+    return out / np.linalg.norm(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 1809])
+@pytest.mark.parametrize("seed", [0, 1, 27_000_031, 2**63, 2**64 - 1])
+def test_lcg_start_vector_matches_the_scalar_run(n, seed):
+    assert np.array_equal(_lcg_start_vector(n, seed),
+                          _scalar_lcg_start_vector(n, seed))
+
+
+@st.composite
+def one_axis_potentials(draw):
+    """A grid with unequal spacings and a U uniform or along one axis."""
+    cells = [draw(st.integers(1, 6)) for _ in range(3)]
+    spacing = [draw(st.floats(0.3e-9, 2e-9)) for _ in range(3)]
+    grid = RegionGrid(*cells, *spacing)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axis = draw(st.sampled_from([None, 0, 1, 2]))
+    u3 = np.full(grid.node_shape, draw(st.floats(-1.0, 1.0)) * EV)
+    if axis is not None:
+        profile = rng.uniform(-1.0, 1.0, cells[axis] + 1) * EV
+        shape = [1, 1, 1]
+        shape[2 - axis] = cells[axis] + 1
+        u3 = u3 + profile.reshape(shape)
+    return grid, PotentialField(grid, u3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_axis_potentials())
+def test_per_axis_spectral_radius_matches_dense(case):
+    grid, pot = case
+    assert stability._one_axis_potential(pot) is not None
+    ops = DiscreteOperators(grid, pot, ELECTRON)
+    dense = spectral_radius(ops, method="dense")
+    assert abs(spectral_radius(ops) - dense) / dense <= 1e-13
+
+
+def test_three_dimensional_potential_takes_the_fallback():
+    ops = make_ops(4, 3, 2, u_scale=0.5 * EV, seed=21)
+    assert stability._one_axis_potential(ops.potential) is None
+    assert spectral_radius(ops) == spectral_radius(ops, method="dense")
+
+
+def _one_axis_ops():
+    grid = RegionGrid(4, 3, 2, 0.8e-9, 1.1e-9, 1.4e-9)
+    pot = PotentialField.from_function(
+        grid, lambda x, y, z: 0.3 * EV * np.sin(7e8 * x) + 0.0 * y + 0.0 * z)
+    return grid, pot
+
+
+def _count_solves(monkeypatch):
+    """Count single-matrix eigvalsh calls and Lanczos runs."""
+    import scipy.sparse.linalg as spla
+
+    counts = {"eigvalsh": 0, "eigsh": 0}
+    eigvalsh, eigsh = np.linalg.eigvalsh, spla.eigsh
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        if np.ndim(a) == 2:  # the per-cell pass solves a stack at once
+            counts["eigvalsh"] += 1
+        return eigvalsh(a, *args, **kwargs)
+
+    def counted_eigsh(*args, **kwargs):
+        counts["eigsh"] += 1
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(spla, "eigsh", counted_eigsh)
+    return counts
+
+
+@pytest.mark.parametrize("lanczos", [False, True])
+def test_check_theorems_solves_each_block_once(monkeypatch, lanczos):
+    grid, pot = _one_axis_ops()
+    dt = 0.9 * cfl_limit(grid, pot, ELECTRON)
+    fresh = [DiscreteOperators(grid, pot, ELECTRON) for _ in range(2)]
+    if lanczos:
+        monkeypatch.setattr(stability, "DENSE_EIG_MAX_NODES", 0)
+    counts = _count_solves(monkeypatch)
+    report = check_theorems(grid, pot, ELECTRON, dt)
+    # rho(Sigma) is per-axis here, so it needs neither kind of solve.
+    assert counts == ({"eigvalsh": 0, "eigsh": 4} if lanczos
+                      else {"eigvalsh": 2, "eigsh": 0})
+    assert report.lambda_min_P == lambda_min_P(fresh[0], dt)
+    assert report.kappa_P == kappa_P(fresh[1], dt)
+    assert report.P_positive_definite and report.ordering_holds
+    if not lanczos:
+        # The same values as one dense solve per block end.
+        ops = fresh[0]
+        h = ops.assemble_H().toarray()
+        c = dt / (2.0 * ELECTRON.hbar)
+        ends = [np.linalg.eigvalsh(np.diag(ops.metrics.v) + s * c * h)
+                for s in (-1.0, 1.0)]
+        assert report.lambda_min_P == min(e[0] for e in ends)
+        assert report.kappa_P == (max(e[-1] for e in ends)
+                                  / min(e[0] for e in ends))
+
+
+@pytest.mark.parametrize("lanczos", [False, True])
+def test_unstable_dt_gives_infinite_kappa(monkeypatch, lanczos):
+    grid, pot = _one_axis_ops()
+    dt = 3.0 * cfl_gen_limit(DiscreteOperators(grid, pot, ELECTRON))
+    if lanczos:
+        monkeypatch.setattr(stability, "DENSE_EIG_MAX_NODES", 0)
+    counts = _count_solves(monkeypatch)
+    report = check_theorems(grid, pot, ELECTRON, dt)
+    assert not report.P_positive_definite
+    assert report.kappa_P == float("inf")
+    # kappa_P stops at the smallest ends, which lambda_min_P has solved.
+    assert counts["eigsh"] == (2 if lanczos else 0)
