@@ -442,6 +442,16 @@ def _verify_checks():
     checks.append(("per-axis rho(Sigma) vs dense",
                    abs(spectral_radius(aops) - rho_dense)
                    / rho_dense, 1e-13))
+    # The same grid's P blocks, by fast diagonalization and densely.
+    dt_a = 1.8 / rho_dense
+    c = dt_a / (2.0 * ELECTRON.hbar)
+    ha = aops.assemble_H().toarray()
+    ends = [np.linalg.eigvalsh(np.diag(aops.metrics.v) + s * c * ha)
+            for s in (-1.0, 1.0)]
+    lo = min(e[0] for e in ends)
+    checks.append(("lambda_min(P) structured vs dense",
+                   abs(lambda_min_P(aops, dt_a) - lo)
+                   / max(e[-1] for e in ends), 1e-13))
 
     rho = spectral_radius(ops, method="dense")
     dt_gen = 2.0 / rho

@@ -215,22 +215,28 @@ class GaussianBarrierSpec:
         return self.ly * self.lz
 
 
+def _exp_i(a):
+    """exp(1j a), exponentiated in place of the product."""
+    z = 1j * a
+    return np.exp(z, out=z)
+
+
 def _barrier_incident(spec, xl, derivative):
     """Incident and reflected per-mode factors at positions xl <= a."""
-    inc = np.exp(1j * np.outer(xl - spec.x0, spec.k))
-    ref = np.exp(1j * np.outer(2.0 * spec.a - spec.x0 - xl, spec.k))
+    inc = _exp_i(np.outer(xl - spec.x0, spec.k))
+    ref = _exp_i(np.outer(2.0 * spec.a - spec.x0 - xl, spec.k))
     if derivative:
-        inc = inc * (1j * spec.k)
-        ref = ref * (-1j * spec.k)
+        inc *= 1j * spec.k
+        ref *= -1j * spec.k
     return inc, ref
 
 
 def _barrier_transmitted(spec, xr, derivative):
     """Transmitted per-mode factors at positions xr > a, and the mode
     coefficients T exp(i k (a - x0)) they carry."""
-    tran = np.exp(1j * np.outer(xr - spec.a, spec.K))
+    tran = _exp_i(np.outer(xr - spec.a, spec.K))
     if derivative:
-        tran = tran * (1j * spec.K)
+        tran *= 1j * spec.K
     return tran, spec.T * np.exp(1j * spec.k * (spec.a - spec.x0))
 
 
@@ -367,17 +373,7 @@ def _barrier_midpoints(spec, intervals):
 def analytic_region_probability(spec, times, intervals=1000,
                                 chunk=256):
     """Midpoint Riemann sum of |psi|^2 over the region, per time."""
-    xm, h = _barrier_midpoints(spec, intervals)
-    phi = _barrier_spatial_matrix(spec, xm, derivative=False)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty(times.shape)
-    area = spec.cross_section()
-    for s in range(0, times.size, chunk):
-        tt = times[s:s + chunk]
-        w = spec.amps[None, :] * np.exp(-1j * np.outer(tt, spec.omega))
-        vals = w @ phi.T
-        out[s:s + chunk] = area * h * np.sum(np.abs(vals)**2, axis=1)
-    return out
+    return _barrier_region_sums(spec, times, intervals, chunk)[0].copy()
 
 
 def analytic_region_energy(spec, times, intervals=1000, chunk=256):
@@ -386,23 +382,51 @@ def analytic_region_energy(spec, times, intervals=1000, chunk=256):
     Density: (hbar^2 / 2m) |dpsi/dx|^2 + U |psi|^2 (transverse gradients
     vanish).
     """
+    return _barrier_region_sums(spec, times, intervals, chunk)[1].copy()
+
+
+def _barrier_region_sums(spec, times, intervals, chunk):
+    """(probability, energy) per time, from one pass over the modes.
+
+    Both sums share the |psi|^2 samples, so psi's spatial matrix is built
+    and applied once and freed before the gradient's is built.  The last
+    result is kept on the spec, so the second of the two public calls on
+    the same times is free.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    key = (times.tobytes(), times.shape, intervals, chunk)
+    memo = spec.__dict__.get("_region_sums")
+    if memo is not None and memo[0] == key:
+        return memo[1]
     xm, h = _barrier_midpoints(spec, intervals)
-    phi = _barrier_spatial_matrix(spec, xm, derivative=False)
-    phi_g = _barrier_spatial_matrix(spec, xm, derivative=True)
     u = np.where(xm < spec.a, 0.0,
                  np.where(xm == spec.a, 0.5 * spec.u0, spec.u0))
     kin = spec.constants.kinetic_factor
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty(times.shape)
     area = spec.cross_section()
-    for s in range(0, times.size, chunk):
-        tt = times[s:s + chunk]
-        w = spec.amps[None, :] * np.exp(-1j * np.outer(tt, spec.omega))
-        vals = w @ phi.T
-        grads = w @ phi_g.T
-        dens = kin * np.abs(grads)**2 + u[None, :] * np.abs(vals)**2
-        out[s:s + chunk] = area * h * np.sum(dens, axis=1)
-    return out
+    chunks = [slice(s, s + chunk) for s in range(0, times.size, chunk)]
+
+    def mode_sums(phi, c):  # psi (or its gradient) at times[c]
+        w = spec.amps[None, :] * np.exp(-1j * np.outer(times[c], spec.omega))
+        return w @ phi.T
+
+    prob = np.empty(times.shape)
+    energy = np.empty(times.shape)
+    phi = _barrier_spatial_matrix(spec, xm, derivative=False)
+    pot = []
+    for c in chunks:
+        sq = np.abs(mode_sums(phi, c))**2
+        prob[c] = area * h * np.sum(sq, axis=1)
+        sq *= u[None, :]
+        pot.append(sq)
+    del phi
+    phi_g = _barrier_spatial_matrix(spec, xm, derivative=True)
+    for c, dens in zip(chunks, pot):
+        grad = np.abs(mode_sums(phi_g, c))**2
+        grad *= kin
+        dens += grad
+        energy[c] = area * h * np.sum(dens, axis=1)
+    spec.__dict__["_region_sums"] = (key, (prob, energy))
+    return prob, energy
 
 
 def _barrier_spatial_matrix(spec, x, derivative):
@@ -411,9 +435,13 @@ def _barrier_spatial_matrix(spec, x, derivative):
     phi = np.empty((x.size, spec.k.size), dtype=complex)
     left = x <= spec.a
     inc, ref = _barrier_incident(spec, x[left], derivative)
-    phi[left] = inc + ref * spec.R[None, :]
+    ref *= spec.R[None, :]
+    ref += inc
+    phi[left] = ref
+    del inc, ref
     tran, coef = _barrier_transmitted(spec, x[~left], derivative)
-    phi[~left] = tran * coef[None, :]
+    tran *= coef[None, :]
+    phi[~left] = tran
     return phi
 
 

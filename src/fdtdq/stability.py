@@ -22,8 +22,18 @@ decomposition bounds dt_CFL <= min over cells of dt_CFL,gen(cell)
 uniform potential.
 
 lambda_min(P) and kappa(P) need the extreme eigenvalues of the two blocks
-V'' -/+ c H; each is solved once per operator set and time step and kept
-on the operators.
+V'' -/+ c H = vol D^{1/2} (I -/+ c hbar Sigma) D^{1/2}, with vol the cell
+volume and D = Wz (x) Wy (x) Wx; each end is solved once per operator set
+and time step and kept on the operators.  When U >= 0, H is positive
+semidefinite, so the smallest end of P is that of V'' - cH and the
+largest that of V'' + cH.  When U varies along at most one axis,
+I -/+ c hbar Sigma is a Kronecker sum of the same 1-D factors: by
+Sylvester's law of inertia a block is positive definite exactly when its
+smallest Kronecker eigenvalue is positive, and then its smallest end comes
+from shift-invert Lanczos on its exact inverse (fast diagonalization:
+per-axis eigenvector transforms of the node array).  Every other end is a
+Lanczos run on the block over vol, so that ARPACK's absolute stopping
+floor stays far below the entries; no block is solved densely.
 """
 
 import json
@@ -133,13 +143,19 @@ def spectral_radius_power(ops, tol=1e-13, max_iter=100_000):
                                tol=tol, max_iter=max_iter)
 
 
-def _lanczos_extreme(matvec, n, seed, which, maxiter):
-    """One extreme eigenvalue of a symmetric operator by matrix-free Lanczos."""
+def _lanczos_extreme(matvec, start, which, maxiter):
+    """One extreme eigenvalue of a symmetric operator by matrix-free Lanczos.
+
+    ARPACK stops when a Ritz estimate is below tol * max(eps^(2/3),
+    |theta|), an absolute floor for small theta, so the operator should
+    have entries of order one.
+    """
     import scipy.sparse.linalg as spla
 
+    n = start.size
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    vals = spla.eigsh(op, k=1, which=which, v0=_lcg_start_vector(n, seed),
-                      tol=0, maxiter=maxiter, return_eigenvectors=False)
+    vals = spla.eigsh(op, k=1, which=which, v0=start, tol=0,
+                      maxiter=maxiter, return_eigenvectors=False)
     return float(vals[0])
 
 
@@ -161,31 +177,36 @@ def _one_axis_potential(potential):
     return None
 
 
-def _axis_spectrum(m, h, kin, u):
-    """Eigenvalues of the 1-D matrix (kin / h^2) W^{-1/2} L W^{-1/2} + diag(u).
+def _axis_factor(m, h, kin, u):
+    """Diagonal and off-diagonal of (kin / h^2) W^{-1/2} L W^{-1/2} + diag(u).
 
     L is the path-graph Laplacian of m + 1 nodes and W the boundary
     weights diag(1/2, 1, ..., 1, 1/2).
     """
-    from scipy.linalg import eigh_tridiagonal
-
     w = boundary_weights(m + 1)
     lap = np.full(m + 1, 2.0)
     lap[[0, -1]] = 1.0
     scale = kin / h**2
-    diag = scale * lap / w + u
-    off = -scale / np.sqrt(w[:-1] * w[1:])
-    return eigh_tridiagonal(diag, off, eigvals_only=True)
+    return scale * lap / w + u, -scale / np.sqrt(w[:-1] * w[1:])
+
+
+def _axis_factors(ops, axis, profile):
+    """The 1-D factors of hbar Sigma along x, y and z, as (diag, off)."""
+    grid = ops.grid
+    kin = ops.constants.kinetic_factor
+    return [_axis_factor(m, h, kin, profile if a == axis else 0.0)
+            for a, (m, h) in enumerate(((grid.nx, grid.dx),
+                                        (grid.ny, grid.dy),
+                                        (grid.nz, grid.dz)))]
 
 
 def _separable_spectral_radius(ops, axis, profile):
     """rho(Sigma) from the three 1-D spectra of its Kronecker sum."""
-    grid = ops.grid
-    kin = ops.constants.kinetic_factor
+    from scipy.linalg import eigh_tridiagonal
+
     lo = hi = 0.0
-    for a, (m, h) in enumerate(((grid.nx, grid.dx), (grid.ny, grid.dy),
-                                (grid.nz, grid.dz))):
-        vals = _axis_spectrum(m, h, kin, profile if a == axis else 0.0)
+    for diag, off in _axis_factors(ops, axis, profile):
+        vals = eigh_tridiagonal(diag, off, eigvals_only=True)
         lo += vals[0]
         hi += vals[-1]
     return float(max(abs(lo), abs(hi)) / ops.constants.hbar)
@@ -212,8 +233,8 @@ def spectral_radius(ops, method="auto"):
     if method == "power":
         return spectral_radius_power(ops)
     if method == "lanczos":
-        return abs(_lanczos_extreme(ops.apply_sigma, n, _grid_seed(ops.grid),
-                                    "LM", 100 * n))
+        start = _lcg_start_vector(n, _grid_seed(ops.grid))
+        return abs(_lanczos_extreme(ops.apply_sigma, start, "LM", 100 * n))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -252,7 +273,8 @@ def per_cell_cfl_gen(grid, potential, constants):
 
     Each cell's Sigma is its single-cell kinetic matrix plus the diagonal
     of the cell-corner potential samples over hbar; the per-cell limit is
-    2/rho of that 8x8 matrix.
+    2/rho of that 8x8 matrix.  Cells with the same corner samples, bit for
+    bit, share one solve.
     """
     kin = _cell_kinetic_sigma(grid, constants)
     u3 = potential.as_3d()
@@ -262,72 +284,141 @@ def per_cell_cfl_gen(grid, potential, constants):
         di, dj, dk = m & 1, (m >> 1) & 1, m >> 2
         corners[:, m] = u3[dk:dk + grid.nz, dj:dj + grid.ny,
                            di:di + grid.nx].reshape(-1)
-    mats = np.broadcast_to(kin, (ncells, 8, 8)).copy()
+    # One opaque 64-byte item per row: np.unique sorts these far faster
+    # than it sorts rows with axis=0.
+    rows = corners.view(np.dtype((np.void, corners.itemsize * 8)))
+    _, first, cell_row = np.unique(rows.reshape(-1), return_index=True,
+                                   return_inverse=True)
+    mats = np.broadcast_to(kin, (first.size, 8, 8)).copy()
     idx = np.arange(8)
-    mats[:, idx, idx] += corners / constants.hbar
+    mats[:, idx, idx] += corners[first] / constants.hbar
     vals = np.linalg.eigvalsh(mats)
-    rho = np.max(np.abs(vals), axis=1)
+    rho = np.max(np.abs(vals), axis=1)[cell_row]
     table = (2.0 / rho).reshape(grid.nz, grid.ny, grid.nx)
     return float(table.min()), table
+
+
+def _kronecker_modes(ops):
+    """Per-axis eigenpairs (vals, vecs) of hbar Sigma's 1-D factors.
+
+    Ordered x, y, z; None when U varies along more than one axis.  Kept
+    on ops.  rho(Sigma) keeps its eigenvalue-only solves: their last bits
+    differ from these.
+    """
+    cache = ops.__dict__
+    if "_kron_modes" not in cache:
+        separable = _one_axis_potential(ops.potential)
+        if separable is None:
+            cache["_kron_modes"] = None
+        else:
+            from scipy.linalg import eigh_tridiagonal
+
+            cache["_kron_modes"] = [eigh_tridiagonal(diag, off)
+                                    for diag, off in
+                                    _axis_factors(ops, *separable)]
+    return cache["_kron_modes"]
+
+
+def _per_axis(a, qx, qy, qz):
+    """(qz (x) qy (x) qx) a for a node array a indexed [z, y, x]."""
+    a = np.matmul(qy, a @ qx.T)
+    return (qz @ a.reshape(a.shape[0], -1)).reshape(a.shape)
 
 
 def _block_extreme(ops, c, sign, which):
     """Extreme eigenvalue of V'' + sign * c * H (sign in {-1, +1}).
 
     "SA" is the smallest and "LA" the largest.  Values are kept on ops, so
-    each is solved once: up to 4096 nodes H is assembled once and one
-    dense solve per block gives both ends of both blocks; beyond, each
-    end of each block is one matrix-free Lanczos run.
+    each is solved once.
     """
     ends = ops.__dict__.setdefault("_block_ends", {})
     key = (c, sign, which)
-    if key in ends:
-        return ends[key]
-    n = ops.grid.n_nodes
-    v = ops.metrics.v
-    if n <= DENSE_EIG_MAX_NODES:
-        h = ops.assemble_H()
-        diag = np.diag_indices(n)
-        for s in (-1.0, 1.0):
-            mat = (h * (s * c)).toarray()
-            mat[diag] += v
-            vals = np.linalg.eigvalsh(mat)
-            ends[(c, s, "SA")] = float(vals[0])
-            ends[(c, s, "LA")] = float(vals[-1])
-        return ends[key]
-
-    def matvec(x):
-        return v * x + sign * c * ops.apply_H(x)
-
-    ends[key] = _lanczos_extreme(matvec, n, _grid_seed(ops.grid, salt=2),
-                                 which, 200 * n)
+    if key not in ends:
+        ends[key] = _solve_block_end(ops, c, sign, which)
     return ends[key]
+
+
+def _solve_block_end(ops, c, sign, which):
+    """One end of V'' + sign c H = vol D^{1/2} (I + sign c hbar Sigma) D^{1/2}.
+
+    vol is the cell volume and D = Wz (x) Wy (x) Wx.  With U along at most
+    one axis, I + sign c hbar Sigma is a Kronecker sum whose eigenpairs
+    are the per-axis ones; by Sylvester's law of inertia the block is
+    positive definite exactly when its smallest sum is, and then its
+    smallest eigenvalue comes from shift-invert Lanczos on the exact
+    inverse, applied per axis.  Every other end is Lanczos on the block
+    over vol, started from the Kronecker mode at that end when there is
+    one.
+    """
+    grid = ops.grid
+    n, vol = grid.n_nodes, grid.cell_volume
+    d = ops.metrics.v / vol
+    modes = _kronecker_modes(ops)
+    if modes is None:
+        start = _lcg_start_vector(n, _grid_seed(grid, salt=2))
+    else:
+        (ax, qx), (ay, qy), (az, qz) = modes
+        kron = 1.0 + sign * c * (az[:, None, None] + ay[None, :, None]
+                                 + ax[None, None, :])
+        k, j, i = np.unravel_index(
+            np.argmin(kron) if which == "SA" else np.argmax(kron),
+            kron.shape)
+        start = np.kron(qz[:, k], np.kron(qy[:, j], qx[:, i]))
+        if which == "SA" and kron[k, j, i] > 0.0:
+            d_inv_sqrt = 1.0 / np.sqrt(d)
+            shape = grid.node_shape
+
+            def inverse(x):  # vol (V'' + sign c H)^{-1} x
+                a = (d_inv_sqrt * x.reshape(-1)).reshape(shape)
+                a = _per_axis(a, qx.T, qy.T, qz.T) / kron
+                return d_inv_sqrt * _per_axis(a, qx, qy, qz).reshape(-1)
+
+            return vol / _lanczos_extreme(inverse, start, "LA", 100 * n)
+    scale = sign * c / vol
+
+    def matvec(x):  # (V'' + sign c H) x / vol
+        x = x.reshape(-1)
+        return d * x + scale * ops.apply_H(x)
+
+    return vol * _lanczos_extreme(matvec, start, which, 200 * n)
+
+
+def _block_signs(ops, which):
+    """Signs of the blocks V'' + sign c H whose `which` end can be P's.
+
+    With U >= 0, H is positive semidefinite, so V'' - cH <= V'' + cH: the
+    minus block holds the smallest end of P and the plus block the largest.
+    """
+    if ops.potential.min >= 0.0:
+        return (-1.0,) if which == "SA" else (1.0,)
+    return (-1.0, 1.0)
 
 
 def lambda_min_P(ops, dt):
     """Smallest eigenvalue of the 2N x 2N probability matrix.
 
     Uses the orthogonal block-diagonalization P ~ diag(V'' - cH, V'' + cH)
-    with c = dt / (2 hbar), reducing the problem to two N x N eigensolves.
+    with c = dt / (2 hbar), reducing the problem to the smallest ends of
+    the two N x N blocks (of V'' - cH alone when U >= 0).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     c = dt / (2.0 * ops.constants.hbar)
-    return min(_block_extreme(ops, c, -1.0, "SA"),
-               _block_extreme(ops, c, +1.0, "SA"))
+    return min(_block_extreme(ops, c, s, "SA")
+               for s in _block_signs(ops, "SA"))
 
 
 def kappa_P(ops, dt):
     """Condition number of the probability matrix (requires lambda_min > 0)."""
     c = dt / (2.0 * ops.constants.hbar)
-    lo = min(_block_extreme(ops, c, -1.0, "SA"),
-             _block_extreme(ops, c, +1.0, "SA"))
+    lo = min(_block_extreme(ops, c, s, "SA")
+             for s in _block_signs(ops, "SA"))
     if lo <= 0.0:
         raise StabilityError(
             "probability matrix is not positive definite at this dt",
             last_estimate=lo)
-    hi = max(_block_extreme(ops, c, -1.0, "LA"),
-             _block_extreme(ops, c, +1.0, "LA"))
+    hi = max(_block_extreme(ops, c, s, "LA")
+             for s in _block_signs(ops, "LA"))
     return hi / lo
 
 

@@ -283,6 +283,13 @@ def test_verify_compares_the_per_axis_spectrum_with_dense():
     assert tol == 1e-13 and residual <= tol
 
 
+def test_verify_compares_the_structured_lambda_min_P_with_dense():
+    checks = {name: (residual, tol)
+              for name, residual, tol in cli._verify_checks()}
+    residual, tol = checks["lambda_min(P) structured vs dense"]
+    assert tol == 1e-13 and residual <= tol
+
+
 def test_well_run_loads_no_sparse_or_optimize_scipy(tmp_path):
     # The cold start of a run stays cheap only while no module imports
     # scipy.sparse or scipy.optimize at top level.

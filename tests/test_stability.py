@@ -231,6 +231,45 @@ def test_per_axis_spectral_radius_matches_dense(case):
     assert abs(spectral_radius(ops) - dense) / dense <= 1e-13
 
 
+def _per_cell_every_cell(grid, pot):
+    """The per-cell table with one 8x8 solve for every cell."""
+    kin = stability._cell_kinetic_sigma(grid, ELECTRON)
+    u3 = pot.as_3d()
+    ncells = grid.nx * grid.ny * grid.nz
+    mats = np.broadcast_to(kin, (ncells, 8, 8)).copy()
+    for m in range(8):
+        di, dj, dk = m & 1, (m >> 1) & 1, m >> 2
+        mats[:, m, m] += u3[dk:dk + grid.nz, dj:dj + grid.ny,
+                            di:di + grid.nx].reshape(-1) / ELECTRON.hbar
+    rho = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=1)
+    return (2.0 / rho).reshape(grid.nz, grid.ny, grid.nx)
+
+
+def _random_potential(seed):
+    ops = make_ops(4, 3, 2, u_scale=0.5 * EV, seed=seed)
+    return ops.grid, ops.potential
+
+
+def _step_potential(axis):
+    """A step along one axis: cells on either side of it share corners."""
+    grid = RegionGrid(5, 4, 6, 1e-9, 1e-9, 1e-9)
+    coords = np.meshgrid(*grid.node_coordinates()[::-1], indexing="ij")
+    u3 = np.where(coords[2 - axis] >= 2.5e-9, 0.3 * EV, 0.0)
+    return grid, PotentialField(grid, u3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(one_axis_potentials(),
+                 st.integers(0, 10_000).map(_random_potential),
+                 st.sampled_from([0, 1, 2]).map(_step_potential)))
+def test_per_cell_limits_solve_each_corner_set_once(case):
+    grid, pot = case
+    cell_min, table = per_cell_cfl_gen(grid, pot, ELECTRON)
+    expected = _per_cell_every_cell(grid, pot)
+    assert table.tobytes() == expected.tobytes()
+    assert cell_min == expected.min()
+
+
 def test_three_dimensional_potential_takes_the_fallback():
     ops = make_ops(4, 3, 2, u_scale=0.5 * EV, seed=21)
     assert stability._one_axis_potential(ops.potential) is None
@@ -265,9 +304,22 @@ def _count_solves(monkeypatch):
     return counts
 
 
+def _dense_block_ends(ops, dt):
+    """(lambda_min, lambda_max) of P from dense solves of its two blocks."""
+    h = ops.assemble_H().toarray()
+    c = dt / (2.0 * ops.constants.hbar)
+    ends = [np.linalg.eigvalsh(np.diag(ops.metrics.v) + s * c * h)
+            for s in (-1.0, 1.0)]
+    return min(e[0] for e in ends), max(e[-1] for e in ends)
+
+
 @pytest.mark.parametrize("lanczos", [False, True])
 def test_check_theorems_solves_each_block_once(monkeypatch, lanczos):
+    # U >= 0 along x: one shift-invert run for the smallest end of V'' - cH
+    # and one Lanczos run for the largest end of V'' + cH, whatever the
+    # dense threshold (it governs only rho(Sigma) of 3-D potentials).
     grid, pot = _one_axis_ops()
+    assert pot.min >= 0.0
     dt = 0.9 * cfl_limit(grid, pot, ELECTRON)
     fresh = [DiscreteOperators(grid, pot, ELECTRON) for _ in range(2)]
     if lanczos:
@@ -275,21 +327,13 @@ def test_check_theorems_solves_each_block_once(monkeypatch, lanczos):
     counts = _count_solves(monkeypatch)
     report = check_theorems(grid, pot, ELECTRON, dt)
     # rho(Sigma) is per-axis here, so it needs neither kind of solve.
-    assert counts == ({"eigvalsh": 0, "eigsh": 4} if lanczos
-                      else {"eigvalsh": 2, "eigsh": 0})
+    assert counts == {"eigvalsh": 0, "eigsh": 2}
     assert report.lambda_min_P == lambda_min_P(fresh[0], dt)
     assert report.kappa_P == kappa_P(fresh[1], dt)
     assert report.P_positive_definite and report.ordering_holds
-    if not lanczos:
-        # The same values as one dense solve per block end.
-        ops = fresh[0]
-        h = ops.assemble_H().toarray()
-        c = dt / (2.0 * ELECTRON.hbar)
-        ends = [np.linalg.eigvalsh(np.diag(ops.metrics.v) + s * c * h)
-                for s in (-1.0, 1.0)]
-        assert report.lambda_min_P == min(e[0] for e in ends)
-        assert report.kappa_P == (max(e[-1] for e in ends)
-                                  / min(e[0] for e in ends))
+    lo, hi = _dense_block_ends(fresh[0], dt)
+    assert abs(report.lambda_min_P - lo) <= 1e-13 * hi
+    assert abs(report.kappa_P * report.lambda_min_P - hi) <= 1e-13 * hi
 
 
 @pytest.mark.parametrize("lanczos", [False, True])
@@ -302,5 +346,68 @@ def test_unstable_dt_gives_infinite_kappa(monkeypatch, lanczos):
     report = check_theorems(grid, pot, ELECTRON, dt)
     assert not report.P_positive_definite
     assert report.kappa_P == float("inf")
-    # kappa_P stops at the smallest ends, which lambda_min_P has solved.
-    assert counts["eigsh"] == (2 if lanczos else 0)
+    # V'' - cH is indefinite, so its smallest end is one Lanczos run, and
+    # kappa_P stops at it, which lambda_min_P has solved.
+    assert counts == {"eigvalsh": 0, "eigsh": 1}
+
+
+@st.composite
+def block_cases(draw):
+    """A grid of 1-8 cells per axis, a U uniform, along one axis or 3-D,
+    and a time step between 0.05 and 1.5 times the generalized limit."""
+    cells = [draw(st.integers(1, 8)) for _ in range(3)]
+    spacing = [draw(st.floats(0.3e-9, 2e-9)) for _ in range(3)]
+    grid = RegionGrid(*cells, *spacing)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["uniform", 0, 1, 2, "3-D"]))
+    offset = draw(st.floats(-1.0, 1.0)) * EV
+    if shape == "uniform":
+        u3 = np.full(grid.node_shape, offset)
+    elif shape == "3-D":
+        u3 = offset + rng.uniform(0.0, 1.0, grid.node_shape) * EV
+    else:
+        profile = rng.uniform(0.0, 1.0, cells[shape] + 1) * EV
+        dims = [1, 1, 1]
+        dims[2 - shape] = cells[shape] + 1
+        u3 = np.broadcast_to(offset + profile.reshape(dims), grid.node_shape)
+    ops = DiscreteOperators(grid, PotentialField(grid, u3), ELECTRON)
+    dt = draw(st.floats(0.05, 1.5)) * cfl_gen_limit(ops, method="dense")
+    return ops, dt
+
+
+@pytest.mark.parametrize("dense_max", [stability.DENSE_EIG_MAX_NODES, 0])
+@settings(max_examples=40, deadline=None)
+@given(block_cases())
+def test_lambda_min_and_kappa_P_match_dense_blocks(dense_max, case):
+    ops, dt = case
+    lo, hi = _dense_block_ends(ops, dt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "DENSE_EIG_MAX_NODES", dense_max)
+        lam = lambda_min_P(ops, dt)
+        assert abs(lam - lo) <= 1e-13 * hi
+        if lo > 1e-12 * hi:
+            assert abs(kappa_P(ops, dt) * lam - hi) <= 1e-13 * hi
+        elif lo < -1e-12 * hi:
+            with pytest.raises(StabilityError):
+                kappa_P(ops, dt)
+
+
+def test_lambda_min_P_beyond_the_dense_size_matches_shift_invert():
+    # 4 913 nodes: past DENSE_EIG_MAX_NODES, with U along z and the
+    # well's dt ratio, where the unscaled Lanczos run stopped early.
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    grid = RegionGrid(16, 16, 16, 0.9e-9, 1.0e-9, 1.1e-9)
+    assert grid.n_nodes > stability.DENSE_EIG_MAX_NODES
+    pot = PotentialField.from_function(
+        grid, lambda x, y, z: 0.2 * EV * (z / 17.6e-9) ** 2 + 0.0 * x * y)
+    ops = DiscreteOperators(grid, pot, ELECTRON)
+    dt = 0.999 * cfl_limit(grid, pot, ELECTRON)
+    c = dt / (2.0 * ELECTRON.hbar)
+    vol = grid.cell_volume
+    minus = ((sp.diags(ops.metrics.v) - c * ops.assemble_H()) / vol).tocsc()
+    ref = vol * spla.eigsh(minus, k=1, sigma=0.0, which="LM", tol=0,
+                           return_eigenvectors=False)[0]
+    lam = lambda_min_P(ops, dt)
+    assert abs(lam - ref) <= 1e-11 * ref
