@@ -184,7 +184,11 @@ def _finite_extreme(arr, fn):
 
 
 def _region_summary(series):
-    """Summary of a series whose residuals have been computed."""
+    """Summary of a series whose residuals have been computed.
+
+    The extrema range over the rows the run evaluated: with diag_stride k,
+    every k-th row, n = 1 and the final row (see SeriesBuilder).
+    """
     min_h = _finite_extreme(series.H, np.min)
     return {
         "max_residual_P": _finite_extreme(np.abs(series.residual_P), np.max),
@@ -270,9 +274,11 @@ class Scenario:
     grids(spec) gives region name -> grid and potential(spec, name, grid)
     that region's potential.  prepare(spec, n_t) gives (RegionGraph, dt)
     holding the initial state.  drive(graph, dt, n_t, observers=...,
-    guard_factor=...) runs it and returns region name -> series, raising
-    DivergenceError with exc.series in the same form.  references(spec,
-    series) gives (norm_P, norm_H, extra summary keys).
+    guard_factor=..., stride=...) runs it and returns region name ->
+    series, with P and H evaluated only on the rows a CSV of that stride
+    writes (plus n = 1 and the final row), raising DivergenceError with
+    exc.series in the same form.  references(spec, series) gives (norm_P,
+    norm_H, extra summary keys).
     """
 
     spec: type
@@ -349,7 +355,8 @@ def cmd_run(args):
     try:
         series = scenario.drive(
             graph, dt, cfg.n_t, guard_factor=cfg.guard_factor,
-            observers=_checkpoint_observer(out_dir, cfg.checkpoint_interval))
+            observers=_checkpoint_observer(out_dir, cfg.checkpoint_interval),
+            stride=cfg.diag_stride)
     except DivergenceError as exc:
         series, diverged_at = exc.series, exc.step
     norm_p, norm_h, extra = scenario.references(cfg.spec, series)
@@ -363,6 +370,7 @@ def cmd_run(args):
         "scenario": cfg.scenario,
         "dt_seconds": dt,
         "n_t": cfg.n_t,
+        "diag_stride": cfg.diag_stride,
         "steps_completed": max(s.steps_completed for s in series.values()),
         "diverged": diverged_at is not None,
         "diverged_at": diverged_at,

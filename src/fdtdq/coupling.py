@@ -138,7 +138,7 @@ def enforce_time_step(graph, dt):
                 "to run anyway")
 
 
-def run_coupled(graph, dt, n_t, guard_factor=1e6, observers=()):
+def run_coupled(graph, dt, n_t, guard_factor=1e6, observers=(), stride=1):
     """Drive n_t coupled steps; returns dict region name -> series.
 
     The loop is stepper.drive: each region's samples on Dirichlet-pinned
@@ -146,11 +146,12 @@ def run_coupled(graph, dt, n_t, guard_factor=1e6, observers=()):
     observer(windows) with the per-region window dict after every step,
     and the divergence guard takes the norm over all regions; tripping it
     raises DivergenceError with the partial per-region series attached as
-    exc.series.  dt is not checked against the stability limits; callers
-    that need the check call enforce_time_step first.
+    exc.series.  stride is that of the CSV rows the series will write
+    (see SeriesBuilder).  dt is not checked against the stability limits;
+    callers that need the check call enforce_time_step first.
     """
     return drive(graph.regions, lambda: coupled_step(graph, dt), dt, n_t,
-                 observers, guard_factor)
+                 observers, guard_factor, stride)
 
 
 def cross_region_conservation(series_by_name):

@@ -22,6 +22,12 @@ contribute exactly zero and are skipped.
 
 All reductions are plain numpy sums (pairwise, fixed order) so repeated
 runs produce identical digits.
+
+A run records the fluxes every step but evaluates the O(N) quadratic
+forms only on the rows it keeps: with a CSV stride k, SeriesBuilder
+evaluates P and H on every k-th row and on n = 1, and P on the final row.
+The residuals of those rows, which sum the per-step fluxes, are the same
+bits as at stride 1; the other rows are NaN and never written.
 """
 
 import csv as _csv
@@ -176,7 +182,8 @@ class DiagnosticsSeries:
     P and P_simple are defined for n = 0..n_t; H and H_simple for
     n = 1..n_t-1; I_P (total and per face) for half steps n+1/2 with
     n = 0..n_t-1; s for n = 1..n_t-2.  Entries outside the validity
-    windows are NaN.
+    windows are NaN, and so are the P and H rows that a strided
+    SeriesBuilder did not evaluate (and their residuals).
     """
 
     dt: float
@@ -274,14 +281,25 @@ class SeriesBuilder:
 
     faces lists the faces whose hanging variables can be nonzero
     (BoundaryCondition.flux_faces); the boundary fluxes are summed over
-    those faces only.
+    those faces only.  The fluxes I_P and s are recorded every step, as
+    every residual sums them.  The O(N) quadratic forms P, P_simple, H and
+    H_simple are evaluated only on the rows n with n % stride == 0 (the
+    rows DiagnosticsSeries.write_csv writes with the same stride), on
+    n = 1 (the base H^1 of residual_H) and, for P by finish, on the final
+    row; every other row stays NaN.  The products are formed in two N-sized
+    buffers owned by the builder and summed with np.sum, so each value has
+    the bits of total_probability, probability_simple, total_energy and
+    energy_simple.
     """
 
-    def __init__(self, ops, dt, n_t, faces=FACES):
+    def __init__(self, ops, dt, n_t, faces=FACES, stride=1):
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
         self.ops = ops
         self.dt = dt
         self.n_t = n_t
         self.faces = tuple(faces)
+        self.stride = stride
         self.P = np.full(n_t + 1, np.nan)
         self.P_simple = np.full(n_t + 1, np.nan)
         self.H = np.full(max(n_t, 1), np.nan)
@@ -289,20 +307,36 @@ class SeriesBuilder:
         self.I_P = np.full(max(n_t, 1), np.nan)
         self.I_P_faces = np.full((max(n_t, 1), 6), np.nan)
         self.s = np.full(max(n_t, 1), np.nan)
+        self._buf = (np.empty(ops.grid.n_nodes), np.empty(ops.grid.n_nodes))
         self._prev = None        # previous window
         self._prevprev_gradI = None  # gradI^{n-3/2} for the current window
         self._steps = 0
+
+    def _dot(self, a, b):
+        """_dot(a, b), the product formed in the first buffer."""
+        buf = self._buf[0]
+        np.multiply(a, b, out=buf)
+        return float(np.sum(buf))
+
+    def _norm_v(self, a):
+        """_dot(a, v * a), the products formed in the first buffer."""
+        buf = self._buf[0]
+        np.multiply(self.ops.metrics.v, a, out=buf)
+        buf *= a
+        return float(np.sum(buf))
 
     def record(self, window):
         ops = self.ops
         dt = self.dt
         n = window.n
-        v = ops.metrics.v
+        evaluate = n % self.stride == 0 or n == 1
 
-        p_simple = probability_simple(window.psiR_n, window.psiI_nm, ops)
-        self.P_simple[n] = p_simple
-        self.P[n] = p_simple - (dt / ops.constants.hbar) * _dot(
-            window.psiI_nm, window.h_psiR_n)
+        if evaluate:
+            p_simple = (self._norm_v(window.psiR_n)
+                        + self._norm_v(window.psiI_nm))
+            self.P_simple[n] = p_simple
+            self.P[n] = p_simple - (dt / ops.constants.hbar) * self._dot(
+                window.psiI_nm, window.h_psiR_n)
 
         by_face = probability_current_by_face(ops, window, self.faces)
         self.I_P_faces[n] = [by_face[f] for f in FACES]
@@ -310,14 +344,16 @@ class SeriesBuilder:
 
         prev = self._prev
         if prev is not None:
-            # Energy at step n (needs psi_R^{n-1} and H psi_I^{n-1/2}).
-            h_psiI_nm = prev.h_psiI_np
-            simple = _dot(window.psiR_n, window.h_psiR_n) \
-                + _dot(window.psiI_nm, h_psiI_nm)
-            corr = (ops.constants.hbar / dt) * _dot(
-                window.psiR_n - prev.psiR_n,
-                v * (window.psiI_np - window.psiI_nm))
-            if n < max(self.n_t, 1):
+            if evaluate and n < max(self.n_t, 1):
+                # Energy at step n (needs psi_R^{n-1} and H psi_I^{n-1/2}).
+                simple = self._dot(window.psiR_n, window.h_psiR_n) \
+                    + self._dot(window.psiI_nm, prev.h_psiI_np)
+                d_r, d_i = self._buf
+                np.subtract(window.psiR_n, prev.psiR_n, out=d_r)
+                np.subtract(window.psiI_np, window.psiI_nm, out=d_i)
+                d_i *= ops.metrics.v
+                d_r *= d_i
+                corr = (ops.constants.hbar / dt) * float(np.sum(d_r))
                 self.H[n] = simple + corr
                 self.H_simple[n] = simple
             # Supplied power at n - 1/2 ... s^{(n-1)+1/2} needs this

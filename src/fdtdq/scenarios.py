@@ -570,10 +570,65 @@ def _matching_residual(spec, e_x, even):
     return k * cot + kap * hyp
 
 
+@np.errstate(all="ignore")
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """Root of f in [xa, xb] by Brent's method.
+
+    An operation-for-operation port of scipy.optimize.brentq (its C
+    kernel brentq.c), so it returns the same bits; scipy.optimize alone
+    takes about half a second to import.  f(xa) and f(xb) must differ in
+    sign; RuntimeError if maxiter iterations do not converge.  The
+    arithmetic is on numpy scalars, which behave as C doubles (x / 0 is
+    inf, not an error).
+    """
+    xpre, xcur = np.float64(xa), np.float64(xb)
+    xblk = fblk = spre = scur = np.float64(0.0)
+    fpre, fcur = np.float64(f(xpre)), np.float64(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if abs(spre) < bound:  # the C MIN macro, NaN-wise too
+                bound = abs(spre)
+            if 2 * abs(stry) < bound:
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = np.float64(f(xcur))
+    raise RuntimeError(f"brentq did not converge in {maxiter} iterations")
+
+
 def tunneling_mode_energies(spec, bracket_rel=5e-3):
     """The four x-energies (J), root-solved near the tabulated values."""
-    from scipy.optimize import brentq
-
     out = []
     for i, e_mev in enumerate(TUNNELING_EX_MEV):
         even = (i % 2 == 0)
@@ -589,8 +644,8 @@ def tunneling_mode_energies(spec, bracket_rel=5e-3):
             raise GeometryError(
                 f"no sign change in bracket for x-energy {i + 1}; "
                 "geometry inconsistent with the tabulated values")
-        out.append(brentq(lambda e: _matching_residual(spec, e, even),
-                          lo, hi, xtol=1e-30, rtol=1e-15))
+        out.append(_brentq(lambda e: _matching_residual(spec, e, even),
+                           lo, hi, xtol=1e-30, rtol=1e-15))
     return np.array(out)
 
 

@@ -346,13 +346,16 @@ def _largest(arrays):
     return max(max(x.max(), -x.min()) for x in arrays)
 
 
-def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6):
+def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6,
+          stride=1):
     """The driver loop of run and coupling.run_coupled.
 
     regions maps names to Regions; advance() moves every region's state
     one step and returns name -> StepWindow.  Each state is first
     projected onto its Dirichlet constraint (project_pinned).  After
-    every step the windows are recorded and each observer is called as
+    every step the windows are recorded, the quadratic forms only on the
+    rows a CSV of the given stride keeps (SeriesBuilder), and each
+    observer is called as
     observer(windows).  The divergence guard sits at guard_factor times
     the larger of the initial largest |psi| over all regions and the
     running largest |prescribed hanging value| times the cell length
@@ -367,7 +370,8 @@ def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6):
         raise ValueError("n_t must be nonnegative")
     for r in regions.values():
         r.state = project_pinned(r.state, r.pinned)
-    builders = {name: SeriesBuilder(r.ops, dt, n_t, r.boundary.flux_faces)
+    builders = {name: SeriesBuilder(r.ops, dt, n_t, r.boundary.flux_faces,
+                                    stride)
                 for name, r in regions.items()}
     driven = {name: _driven_spans(r) for name, r in regions.items()
               if r.boundary.driven_faces}
@@ -407,7 +411,8 @@ def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6):
     return finish()
 
 
-def run(state0, ops, boundary, dt, n_t, observers=(), guard_factor=1e6):
+def run(state0, ops, boundary, dt, n_t, observers=(), guard_factor=1e6,
+        stride=1):
     """Drive n_t leap-frog steps of one region, recording diagnostics.
 
     As drive, with the region keyed None in the observers' windows; state0
@@ -423,7 +428,7 @@ def run(state0, ops, boundary, dt, n_t, observers=(), guard_factor=1e6):
 
     try:
         series = drive({None: region}, advance, dt, n_t, observers,
-                       guard_factor)
+                       guard_factor, stride)
     except DivergenceError as exc:
         exc.series = exc.series[None]
         raise

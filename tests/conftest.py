@@ -36,9 +36,12 @@ def reflection_run():
     stride = 20
     idx = np.arange(0, series.steps_completed + 1, stride)
     times = idx * series.dt
+    # Both references on the same times: the second call is then the
+    # scenario's memo of the first, and ref_h keeps the interior rows.
     ref_p = sc.analytic_region_probability(spec, times)
-    idx_h = idx[(idx >= 1) & (idx <= series.n_t - 1)]
-    ref_h = sc.analytic_region_energy(spec, idx_h * series.dt)
+    interior = (idx >= 1) & (idx <= series.n_t - 1)
+    idx_h = idx[interior]
+    ref_h = sc.analytic_region_energy(spec, times)[interior]
     series.compute_residuals(norm_P=float(ref_p.max()),
                              norm_H=float(ref_h.max()))
     return {"spec": spec, "prep": prep, "series": series,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -84,6 +85,7 @@ def test_run_well_success(tmp_path):
     assert summary["schema_version"] == 1
     assert summary["scenario"] == "infinite_well"
     assert summary["n_t"] == 50
+    assert summary["diag_stride"] == 1
     assert summary["steps_completed"] == 50
     assert summary["diverged"] is False
     well = summary["regions"]["well"]
@@ -195,6 +197,72 @@ def test_run_stride_flag_overrides_config(tmp_path):
     assert [r[0] for r in rows[1:]] == ["0", "10", "20"]
 
 
+# Tiny configs of the three scenarios; no stride tested below (other than
+# 1) divides their step count.
+TINY = {
+    "infinite_well": {"scenario": "infinite_well", "n_cells": 4, "n_t": 23},
+    "barrier": {"scenario": "barrier", "x0": 0.0, "n_t": 23},
+    "tunneling": {"scenario": "tunneling", "n_t": 23,
+                  "cell": {"value": 0.1, "unit": "angstrom"},
+                  "u0": 1.6021766551777526e-19},
+}
+
+
+def _run_strided_and_reference(tmp_path, monkeypatch, settings, stride):
+    """Exit codes and output directories of `fdtdq run --stride stride`
+    and of the same run recorded at stride 1 (every row evaluated) but
+    written at stride stride."""
+    config = write_config(tmp_path, settings)
+    args = ["run", "--config", config, "--stride", str(stride)]
+    out = tmp_path / "strided"
+    code = main(args + ["--out", str(out)])
+
+    entry = cli.SCENARIOS[settings["scenario"]]
+
+    def drive_every_row(*drive_args, stride, **kwargs):
+        return entry.drive(*drive_args, stride=1, **kwargs)
+
+    monkeypatch.setitem(cli.SCENARIOS, settings["scenario"],
+                        dataclasses.replace(entry, drive=drive_every_row))
+    ref = tmp_path / "reference"
+    ref_code = main(args + ["--out", str(ref)])
+    return code, out, ref_code, ref
+
+
+@pytest.mark.parametrize("stride", [1, 3, 7, 10])
+@pytest.mark.parametrize("scenario", sorted(TINY))
+def test_strided_run_writes_the_bytes_of_a_stride_1_recording(
+        tmp_path, monkeypatch, scenario, stride):
+    # A strided run evaluates P and H only on the rows it writes (and
+    # n = 1); the residuals on those rows sum the per-step fluxes, so the
+    # CSV must not change by a single byte.
+    code, out, ref_code, ref = _run_strided_and_reference(
+        tmp_path, monkeypatch, TINY[scenario], stride)
+    assert code == ref_code == EXIT_OK
+    csvs = sorted(p.name for p in ref.glob("*.csv"))
+    assert csvs == sorted(p.name for p in out.glob("*.csv")) and csvs
+    for name in csvs:
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diag_stride"] == stride
+
+
+@pytest.mark.parametrize("stride", [3, 7, 23])
+def test_strided_diverging_run_writes_the_same_partial_csv(
+        tmp_path, monkeypatch, stride):
+    # The guard trips at step 46: a written row for stride 23, between
+    # written rows for 3 and 7.
+    settings = {"scenario": "infinite_well", "n_cells": 6, "dt_factor": 1.2,
+                "n_t": 5000, "guard_factor": 1e3, "allow_unstable": True}
+    code, out, ref_code, ref = _run_strided_and_reference(
+        tmp_path, monkeypatch, settings, stride)
+    assert code == ref_code == EXIT_DIVERGED
+    assert (out / "well.csv").read_bytes() == (ref / "well.csv").read_bytes()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["diverged"] is True
+    assert 0 < summary["steps_completed"] < 5000
+
+
 def test_run_checkpoints_written(tmp_path):
     config = write_config(tmp_path, {
         "scenario": "infinite_well", "n_cells": 6, "n_t": 10,
@@ -290,17 +358,15 @@ def test_verify_compares_the_structured_lambda_min_P_with_dense():
     assert tol == 1e-13 and residual <= tol
 
 
-def test_well_run_loads_no_sparse_or_optimize_scipy(tmp_path):
-    # The cold start of a run stays cheap only while no module imports
-    # scipy.sparse or scipy.optimize at top level.
-    config = write_config(tmp_path, {"scenario": "infinite_well",
-                                     "n_cells": 4, "n_t": 3})
+def _modules_loaded_by_run(tmp_path, settings, prefixes):
+    """The modules named by prefixes that a fresh `fdtdq run` process of
+    settings has loaded once it finishes."""
+    config = write_config(tmp_path, settings)
     script = (
         "import sys\n"
         "from fdtdq.cli import main\n"
         "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "loaded = [m for m in ('scipy.sparse', 'scipy.optimize')\n"
-        "          if m in sys.modules]\n"
+        f"loaded = [m for m in sorted(sys.modules) if m.startswith({prefixes!r})]\n"
         "print('loaded:', ','.join(loaded))\n"
         "sys.exit(code)\n")
     env = dict(os.environ)
@@ -311,7 +377,22 @@ def test_well_run_loads_no_sparse_or_optimize_scipy(tmp_path):
         [sys.executable, "-c", script, config, str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "loaded: "
+    return proc.stdout.splitlines()[-1]
+
+
+def test_well_run_loads_no_sparse_or_optimize_scipy(tmp_path):
+    # The cold start of a run stays cheap only while no module imports
+    # scipy.sparse or scipy.optimize at top level.
+    assert _modules_loaded_by_run(
+        tmp_path, {"scenario": "infinite_well", "n_cells": 4, "n_t": 3},
+        ("scipy.sparse", "scipy.optimize")) == "loaded: "
+
+
+def test_tunneling_run_loads_no_scipy(tmp_path):
+    # The mode energies come from scenarios._brentq, not scipy.optimize,
+    # whose import alone took about half a second of the set-up.
+    assert _modules_loaded_by_run(
+        tmp_path, {**TINY["tunneling"], "n_t": 3}, "scipy") == "loaded: "
 
 
 @pytest.mark.parametrize("key,settings", [

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdtdq import diagnostics
 from fdtdq.constants import ELECTRON
@@ -282,3 +284,67 @@ def test_csv_write_is_atomic(tmp_path, monkeypatch):
         series.write_csv(path)
     assert path.read_bytes() == earlier
     assert list(tmp_path.iterdir()) == [path]
+
+
+def _window(ops, n, rng, psiI_nm, scale):
+    """A StepWindow of step n with random states and consistent H
+    products; psiI_nm is psi_I^{n-1/2} (shared with the previous window's
+    psi_I^{n+1/2}).  The hanging vectors are zero."""
+    size = ops.grid.n_nodes
+    psiR_n = scale * rng.standard_normal(size)
+    psiI_np = scale * rng.standard_normal(size)
+    zero = ops.zero_hanging()
+    return StepWindow(
+        n=n, psiR_n=psiR_n, psiR_np1=scale * rng.standard_normal(size),
+        psiI_nm=psiI_nm, psiI_np=psiI_np, gradR_n=zero, gradI_np=zero,
+        h_psiR_n=ops.apply_H(psiR_n), h_psiI_np=ops.apply_H(psiI_np))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cells=st.tuples(*[st.integers(1, 5)] * 3),
+       stride=st.integers(1, 12), n=st.integers(1, 40),
+       scale=st.sampled_from([1e-3, 1.0, 1e6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_buffered_record_equals_the_observable_functions_bitwise(
+        cells, stride, n, scale, seed):
+    # record forms its products in preallocated buffers and evaluates
+    # only the rows a CSV of its stride keeps, plus n = 1; on those rows
+    # every quadratic form must have the bits of the public functions.
+    rng = np.random.default_rng(seed)
+    grid = RegionGrid(*cells, *rng.uniform(0.5e-9, 1.5e-9, 3))
+    ops = DiscreteOperators(grid, PotentialField(
+        grid, 1.6e-20 * rng.uniform(-1.0, 1.0, grid.n_nodes)), ELECTRON)
+    dt = 0.5 * cfl_limit(grid, ops.potential, ELECTRON)
+    builder = SeriesBuilder(ops, dt, n + 2, faces=(), stride=stride)
+    prev = _window(ops, n - 1, rng,
+                   scale * rng.standard_normal(grid.n_nodes), scale)
+    builder.record(prev)
+    win = _window(ops, n, rng, prev.psiI_np, scale)
+    builder.record(win)
+
+    for row, w in ((n - 1, prev), (n, win)):
+        if row % stride == 0 or row == 1:
+            assert builder.P[row] == total_probability(
+                w.psiR_n, w.psiI_nm, ops, dt, h_psiR=w.h_psiR_n)
+            assert builder.P_simple[row] == probability_simple(
+                w.psiR_n, w.psiI_nm, ops)
+        else:
+            assert np.isnan(builder.P[row])
+            assert np.isnan(builder.P_simple[row])
+    if n % stride == 0 or n == 1:
+        assert builder.H[n] == total_energy(
+            win.psiR_n, prev.psiR_n, win.psiI_nm, win.psiI_np, ops, dt,
+            h_psiR=win.h_psiR_n, h_psiI=prev.h_psiI_np)
+        assert builder.H_simple[n] == energy_simple(
+            win.psiR_n, win.psiI_nm, ops, h_psiR=win.h_psiR_n,
+            h_psiI=prev.h_psiI_np)
+    else:
+        assert np.isnan(builder.H[n]) and np.isnan(builder.H_simple[n])
+    # The fluxes are recorded on every row, whatever the stride.
+    assert builder.I_P[n - 1] == 0.0 and builder.I_P[n] == 0.0
+
+
+def test_series_builder_rejects_stride_below_one():
+    ops = make_ops()
+    with pytest.raises(ValueError):
+        SeriesBuilder(ops, 1e-16, 5, stride=0)

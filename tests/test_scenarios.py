@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdtdq import scenarios as sc
 from fdtdq.constants import EV, BOLTZMANN
@@ -320,6 +322,37 @@ def test_mode_x_energies_match_table(tunneling_spec):
         assert abs(sc._matching_residual(tunneling_spec, e, even)) \
             <= 1e-4 * abs(sc._matching_residual(tunneling_spec,
                                                 e * 1.001, even))
+
+
+def test_mode_x_energies_are_scipy_brentq_bitwise(tunneling_spec):
+    from scipy.optimize import brentq
+
+    e_x = sc.tunneling_mode_energies(tunneling_spec)
+    for i, e_mev in enumerate(sc.TUNNELING_EX_MEV):
+        even = (i % 2 == 0)
+        e0 = e_mev * 1e-3 * EV
+        root = brentq(
+            lambda e: sc._matching_residual(tunneling_spec, e, even),
+            e0 * (1.0 - 5e-3), e0 * (1.0 + 5e-3), xtol=1e-30, rtol=1e-15)
+        assert float(e_x[i]) == root
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=st.floats(-3.0, 3.0), left=st.floats(1e-6, 5.0),
+       right=st.floats(1e-6, 5.0), kind=st.integers(0, 3),
+       log_xtol=st.floats(-30.0, -1.0), log_rtol=st.floats(-15.0, -3.0))
+def test_brentq_port_is_scipy_brentq_bitwise(root, left, right, kind,
+                                             log_xtol, log_rtol):
+    from scipy.optimize import brentq
+
+    f = {0: lambda x: (x - root) ** 3 + 0.1 * (x - root),
+         1: lambda x: np.sinh(x - root) * (1.0 + 0.3 * np.cos(3.0 * x)),
+         2: lambda x: np.tanh(4.0 * (x - root)) + 0.01 * (x - root),
+         3: lambda x: np.expm1(x - root) - 0.5 * (x - root) ** 2}[kind]
+    a, b = root - left, root + right
+    xtol, rtol = 10.0 ** log_xtol, 10.0 ** log_rtol
+    assert float(sc._brentq(f, a, b, xtol, rtol)) \
+        == brentq(f, a, b, xtol=xtol, rtol=rtol)
 
 
 def test_mode_profiles_continuous_across_interfaces(tunneling_spec,
