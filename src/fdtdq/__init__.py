@@ -19,9 +19,8 @@ from .stability import (StabilityError, StabilityReport, cfl_gen_limit,
                         cfl_limit, check_theorems, kappa_P, lambda_min_P,
                         per_cell_cfl_gen, power_iteration,
                         single_cell_sigma_eigvals, spectral_radius)
-from .coupling import (Interface, InstabilityResult, RegionGraph,
-                       UnstableTimeStep, coupled_step,
-                       cross_region_conservation, instability_demo,
+from .coupling import (Interface, RegionGraph, UnstableTimeStep,
+                       coupled_step, cross_region_conservation,
                        interface_current_mismatch, run_coupled)
 
 __version__ = "1.0.0"

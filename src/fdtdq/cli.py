@@ -25,15 +25,13 @@ import numpy as np
 
 from . import scenarios as sc
 from .constants import EV, to_si
-from .coupling import (RegionGraph, UnstableTimeStep,
-                       cross_region_conservation, enforce_time_step,
-                       run_coupled)
+from .coupling import (UnstableTimeStep, cross_region_conservation,
+                       enforce_time_step, run_coupled)
 from .diagnostics import atomic_open
 from .grid import PotentialField, RegionGrid
 from .operators import DiscreteOperators
 from .stability import cfl_limit, check_theorems
-from .stepper import (DivergenceError, Region, StaggeredState, run,
-                      save_checkpoint)
+from .stepper import DivergenceError, StaggeredState, run, save_checkpoint
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -224,12 +222,6 @@ def _checkpoint_observer(out_dir, interval):
     return (observer,)
 
 
-def _one_region(name, prep):
-    """(one-region graph, dt) of a PreparedRun."""
-    return (RegionGraph([Region(name, prep.ops, prep.boundary, prep.state)],
-                        []), prep.dt)
-
-
 def _run_one(graph, dt, n_t, **driver_args):
     """run on a one-region graph; the series keyed by the region's name."""
     (name, r), = graph.regions.items()
@@ -272,7 +264,7 @@ class Scenario:
     parser; the keys are the spec's constructor arguments, and together
     with RUN_KEYS they are the only keys a config of the scenario may hold.
     grids(spec) gives region name -> grid and potential(spec, name, grid)
-    that region's potential.  prepare(spec, n_t) gives (RegionGraph, dt)
+    that region's potential.  prepare(spec) gives (RegionGraph, dt)
     holding the initial state.  drive(graph, dt, n_t, observers=...,
     guard_factor=..., stride=...) runs it and returns region name ->
     series, with P and H evaluated only on the rows a CSV of that stride
@@ -301,8 +293,7 @@ SCENARIOS = {
          "phase": _number},
         grids=lambda spec: {"well": spec.grid()},
         potential=lambda spec, name, grid: spec.potential(grid),
-        prepare=lambda spec, n_t: _one_region(
-            "well", sc.prepare_infinite_well(spec, n_t=n_t)),
+        prepare=lambda spec: sc.prepare_infinite_well(spec),
         drive=_run_one,
         references=lambda spec, series: (1.0, spec.ground_energy, {})),
     "barrier": Scenario(
@@ -312,8 +303,7 @@ SCENARIOS = {
          "cell": _positive, "horizon": _positive, "dt_factor": _positive},
         grids=lambda spec: {"barrier": spec.grid()},
         potential=lambda spec, name, grid: spec.potential(grid),
-        prepare=lambda spec, n_t: _one_region(
-            "barrier", sc.prepare_barrier(spec, n_t=n_t)),
+        prepare=lambda spec: sc.prepare_barrier(spec),
         drive=_run_one,
         references=_barrier_references),
     "tunneling": Scenario(
@@ -325,7 +315,7 @@ SCENARIOS = {
         grids=lambda spec: {r: spec.region_grid(r)
                             for r in sc.TUNNELING_REGIONS},
         potential=lambda spec, name, grid: spec.region_potential(name, grid),
-        prepare=lambda spec, n_t: sc.build_tunneling_graph(spec),
+        prepare=lambda spec: sc.build_tunneling_graph(spec),
         drive=lambda *args, **kw: run_coupled(*args, **kw),
         references=_tunneling_references),
 }
@@ -342,7 +332,7 @@ def cmd_run(args):
     cfg = RunConfig.load(args.config, stride=args.stride,
                          allow_unstable=args.allow_unstable)
     scenario = SCENARIOS[cfg.scenario]
-    graph, dt = scenario.prepare(cfg.spec, cfg.n_t)
+    graph, dt = scenario.prepare(cfg.spec)
     if not cfg.allow_unstable:
         try:
             enforce_time_step(graph, dt)
@@ -477,8 +467,8 @@ def _verify_checks():
                    0.5))
 
     spec = sc.InfiniteWellSpec(n_cells=8)
-    prep = sc.prepare_infinite_well(spec, n_t=200)
-    _, series = run(prep.state, prep.ops, prep.boundary, prep.dt, 200)
+    graph, dt = sc.prepare_infinite_well(spec)
+    series = _run_one(graph, dt, 200)["well"]
     series.compute_residuals(norm_P=1.0, norm_H=spec.ground_energy)
     checks.append(("closed-box probability conservation",
                    float(np.nanmax(np.abs(series.P - 1.0))), 1e-13))

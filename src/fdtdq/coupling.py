@@ -10,13 +10,12 @@ them and measures their summed conservation.  Matching the two recoveries
 cancel, which is what conserves the summed probability and energy.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import OPPOSITE_FACE, FACE_AXIS, face_node_slices
-from .stepper import INTERFACE, DivergenceError, Region, drive, leapfrog
+from .stepper import INTERFACE, Region, drive, leapfrog
 from .stability import cfl_limit, cfl_gen_limit
 
 
@@ -189,42 +188,3 @@ def interface_current_mismatch(graph, windows):
         worst = max(worst, abs(vals[itf.region_a] + vals[itf.region_b]))
     return worst, scale
 
-
-@dataclass
-class InstabilityResult:
-    """Outcome of a deliberately unstable run."""
-
-    series: dict
-    diverged_at: Optional[int]
-    norms: np.ndarray = field(default_factory=lambda: np.empty(0))
-    initial_norm: float = 0.0
-
-
-def instability_demo(graph, dt_factor, n_max=100_000, guard_factor=1e6):
-    """Run with dt = dt_factor times the smallest closed-form limit.
-
-    Returns the per-region series up to the divergence guard together with
-    the per-step solution norm history.
-    """
-    dt_min = min(cfl_limit(r.grid, r.ops.potential, r.ops.constants)
-                 for r in graph.regions.values())
-    dt = dt_factor * dt_min
-    norms = []
-
-    def track(windows):
-        norms.append(max(max(np.max(np.abs(w.psiR_np1)),
-                             np.max(np.abs(w.psiI_np)))
-                         for w in windows.values()))
-
-    norm0 = max(max(np.max(np.abs(r.state.psiR)),
-                    np.max(np.abs(r.state.psiI)))
-                for r in graph.regions.values())
-    try:
-        series = run_coupled(graph, dt, n_max, guard_factor=guard_factor,
-                             observers=(track,))
-        diverged_at = None
-    except DivergenceError as exc:
-        series = exc.series
-        diverged_at = exc.step
-    return InstabilityResult(series=series, diverged_at=diverged_at,
-                             norms=np.array(norms), initial_norm=norm0)

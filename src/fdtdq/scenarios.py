@@ -55,17 +55,6 @@ def _cells_along(length, cell, name):
     return count
 
 
-@dataclass
-class PreparedRun:
-    """Everything needed to drive a single-region scenario."""
-
-    ops: DiscreteOperators
-    boundary: BoundaryCondition
-    state: StaggeredState
-    dt: float
-    n_t: int
-
-
 # ---------------------------------------------------------------------------
 # Infinite potential well
 # ---------------------------------------------------------------------------
@@ -136,21 +125,22 @@ def infinite_well_sample(spec, grid, dt, t=0.0, amplitude=None):
     return pair(1.0 / np.sqrt(p0))
 
 
-def prepare_infinite_well(spec, n_t=None):
+def prepare_infinite_well(spec):
+    """One-region graph (region "well") with the normalized lowest mode;
+    returns (graph, dt)."""
     grid = spec.grid()
     dt = spec.time_step()
-    ops = DiscreteOperators(grid, spec.potential(grid), spec.constants)
     psi_r, psi_i = infinite_well_sample(spec, grid, dt)
-    return PreparedRun(
-        ops=ops, boundary=BoundaryCondition.all_dirichlet(),
-        state=StaggeredState(psiR=psi_r, psiI=psi_i), dt=dt,
-        n_t=spec.default_n_t() if n_t is None else n_t)
+    region = Region.build("well", grid, spec.potential(grid), spec.constants,
+                          BoundaryCondition.all_dirichlet(), psi_r, psi_i)
+    return RegionGraph([region], []), dt
 
 
 # ---------------------------------------------------------------------------
 # Gaussian wavepacket on a potential step
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class GaussianBarrierSpec:
     """Wavepacket impinging on a step; open region [0, lx] x [0, ly] x [0, lz].
 
@@ -158,33 +148,40 @@ class GaussianBarrierSpec:
     plane-wave modes with reflection and transmission coefficients of the
     step at x = a; the simulated region is driven through prescribed
     x-derivative samples on the west and east faces, uniform over y and z.
+    The mode table (kbar, sigma, k, amps, omega, K, R, T) is derived from
+    the fields once, on construction, and its arrays are read-only.
     """
 
-    def __init__(self, x0=-200e-9, lambda_bar=30e-9, u0=1.5e-3 * EV,
-                 a=100e-9, lx=200e-9, ly=2e-9, lz=2e-9, cell=1e-9,
-                 constants=ELECTRON, dt_factor=0.999, horizon=35e-12):
-        self.x0 = x0
-        self.u0 = u0
-        self.a = a
-        self.lx, self.ly, self.lz = lx, ly, lz
-        self.cell = cell
-        self.constants = constants
-        self.dt_factor = dt_factor
-        self.horizon = horizon
-        self.grid()  # fails unless the cell fits every length
+    x0: float = -200e-9
+    lambda_bar: float = 30e-9
+    u0: float = 1.5e-3 * EV
+    a: float = 100e-9
+    lx: float = 200e-9
+    ly: float = 2e-9
+    lz: float = 2e-9
+    cell: float = 1e-9
+    constants: PhysicalConstants = ELECTRON
+    dt_factor: float = 0.999
+    horizon: float = 35e-12
 
-        kbar = 2.0 * np.pi / lambda_bar
+    def __post_init__(self):
+        self.grid()  # fails unless the cell fits every length
+        kbar = 2.0 * np.pi / self.lambda_bar
         sigma = kbar / 10.0
-        self.kbar, self.sigma = kbar, sigma
         # 2001 modes: [kbar - 10 sigma, kbar + 10 sigma], spacing sigma/100.
-        self.k = np.linspace(kbar - 10.0 * sigma, kbar + 10.0 * sigma, 2001)
-        self.amps = np.exp(-0.25 * ((self.k - kbar) / sigma)**2)
-        hbar, m = constants.hbar, constants.mass
-        self.omega = hbar * self.k**2 / (2.0 * m)
-        self.K = np.sqrt((2.0 * m * (hbar * self.omega - u0)).astype(
+        k = np.linspace(kbar - 10.0 * sigma, kbar + 10.0 * sigma, 2001)
+        hbar, m = self.constants.hbar, self.constants.mass
+        omega = hbar * k**2 / (2.0 * m)
+        K = np.sqrt((2.0 * m * (hbar * omega - self.u0)).astype(
             complex)) / hbar
-        self.R = (self.k - self.K) / (self.k + self.K)
-        self.T = 2.0 * self.k / (self.k + self.K)
+        table = {"kbar": kbar, "sigma": sigma, "k": k,
+                 "amps": np.exp(-0.25 * ((k - kbar) / sigma)**2),
+                 "omega": omega, "K": K, "R": (k - K) / (k + K),
+                 "T": 2.0 * k / (k + K)}
+        for name, value in table.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def grid(self):
         c = self.cell
@@ -390,8 +387,8 @@ def _barrier_region_sums(spec, times, intervals, chunk):
 
     Both sums share the |psi|^2 samples, so psi's spatial matrix is built
     and applied once and freed before the gradient's is built.  The last
-    result is kept on the spec, so the second of the two public calls on
-    the same times is free.
+    result is kept on the spec, which is frozen, so the second of the two
+    public calls on the same times is free.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     key = (times.tobytes(), times.shape, intervals, chunk)
@@ -445,19 +442,19 @@ def _barrier_spatial_matrix(spec, x, derivative):
     return phi
 
 
-def prepare_barrier(spec, n_t=None):
+def prepare_barrier(spec):
+    """One-region graph (region "barrier") driven on its west and east
+    faces, with the sampled wavepacket; returns (graph, dt)."""
     grid = spec.grid()
     dt = spec.time_step()
-    ops = DiscreteOperators(grid, spec.potential(grid), spec.constants)
     psi_r, psi_i = barrier_sample(spec, grid, dt)
     boundary = BoundaryCondition(
         kinds={"W": PRESCRIBED, "E": PRESCRIBED, "S": NEUMANN0,
                "N": NEUMANN0, "B": NEUMANN0, "T": NEUMANN0},
         sources=barrier_sources(spec, dt))
-    return PreparedRun(
-        ops=ops, boundary=boundary,
-        state=StaggeredState(psiR=psi_r, psiI=psi_i), dt=dt,
-        n_t=spec.default_n_t() if n_t is None else n_t)
+    region = Region.build("barrier", grid, spec.potential(grid),
+                          spec.constants, boundary, psi_r, psi_i)
+    return RegionGraph([region], []), dt
 
 
 # ---------------------------------------------------------------------------

@@ -216,10 +216,9 @@ def spectral_radius(ops, method="auto"):
     """rho(Sigma), the spectral radius of the symmetrized Hamiltonian.
 
     method "dense" forces a full symmetric eigensolve, "lanczos" the
-    matrix-free route, "power" the power-iteration cross-check; "auto"
-    sums the extremes of the three 1-D spectra when U varies along at
-    most one axis, and otherwise picks dense up to 4096 nodes and Lanczos
-    beyond.
+    matrix-free route; "auto" sums the extremes of the three 1-D spectra
+    when U varies along at most one axis, and otherwise picks dense up to
+    4096 nodes and Lanczos beyond.
     """
     n = ops.grid.n_nodes
     if method == "auto":
@@ -230,8 +229,6 @@ def spectral_radius(ops, method="auto"):
     if method == "dense":
         vals = np.linalg.eigvalsh(ops.assemble_sigma_dense())
         return float(np.max(np.abs(vals)))
-    if method == "power":
-        return spectral_radius_power(ops)
     if method == "lanczos":
         start = _lcg_start_vector(n, _grid_seed(ops.grid))
         return abs(_lanczos_extreme(ops.apply_sigma, start, "LM", 100 * n))

@@ -360,9 +360,10 @@ def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6,
     the larger of the initial largest |psi| over all regions and the
     running largest |prescribed hanging value| times the cell length
     along its face axis, so a driven region that starts nearly empty
-    does not trip it when the drive arrives (None disables it);
-    tripping it raises DivergenceError with the partial series by name
-    attached as exc.series.  Returns name -> DiagnosticsSeries.
+    does not trip it when the drive arrives; tripping it, or a step
+    that leaves a non-finite sample (leapfrog), raises DivergenceError
+    with the partial series by name attached as exc.series.  Returns
+    name -> DiagnosticsSeries.
     """
     from .diagnostics import SeriesBuilder
 
@@ -384,10 +385,8 @@ def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6,
         return {name: b.finish(regions[name].state)
                 for name, b in builders.items()}
 
-    guard = None
-    if guard_factor is not None:
-        norm0 = largest()
-        guard = guard_factor * (norm0 if norm0 > 0.0 else 1.0)
+    norm0 = largest()
+    guard = guard_factor * (norm0 if norm0 > 0.0 else 1.0)
     try:
         for _ in range(n_t):
             windows = advance()
@@ -395,16 +394,15 @@ def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6,
                 builders[name].record(w)
             for obs in observers:
                 obs(windows)
-            if guard is not None:
-                for name, spans in driven.items():
-                    w = windows[name]
-                    for lo, hi, h in spans:
-                        guard = max(guard, guard_factor * h * _largest(
-                            (w.gradR_n[lo:hi], w.gradI_np[lo:hi])))
-                norm = largest()
-                if norm > guard:
-                    raise DivergenceError(
-                        next(iter(regions.values())).state.n, float(norm))
+            for name, spans in driven.items():
+                w = windows[name]
+                for lo, hi, h in spans:
+                    guard = max(guard, guard_factor * h * _largest(
+                        (w.gradR_n[lo:hi], w.gradI_np[lo:hi])))
+            norm = largest()
+            if norm > guard:
+                raise DivergenceError(
+                    next(iter(regions.values())).state.n, float(norm))
     except DivergenceError as exc:
         exc.series = finish()
         raise

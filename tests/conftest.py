@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 
 from fdtdq import scenarios as sc
-from fdtdq.coupling import (instability_demo, interface_current_mismatch,
-                            run_coupled)
-from fdtdq.stepper import run
+from fdtdq.coupling import interface_current_mismatch, run_coupled
+from fdtdq.stepper import DivergenceError, run
+
+
+def run_prepared(prepared, n_t):
+    """run on a prepared one-region graph; returns the series."""
+    graph, dt = prepared
+    (r,) = graph.regions.values()
+    return run(r.state, r.ops, r.boundary, dt, n_t)[1]
 
 
 @pytest.fixture(scope="session")
@@ -18,11 +24,10 @@ def well_runs():
     out = {}
     for n in (10, 20, 30):
         spec = sc.InfiniteWellSpec(n_cells=n)
-        prep = sc.prepare_infinite_well(spec)
-        _, series = run(prep.state, prep.ops, prep.boundary, prep.dt,
-                        prep.n_t)
+        series = run_prepared(sc.prepare_infinite_well(spec),
+                              spec.default_n_t())
         series.compute_residuals(norm_P=1.0, norm_H=spec.ground_energy)
-        out[n] = {"spec": spec, "prep": prep, "series": series}
+        out[n] = {"spec": spec, "series": series}
     return out
 
 
@@ -30,9 +35,7 @@ def well_runs():
 def reflection_run():
     """Full wavepacket run with analytic references on a time subgrid."""
     spec = sc.GaussianBarrierSpec()
-    prep = sc.prepare_barrier(spec)
-    _, series = run(prep.state, prep.ops, prep.boundary, prep.dt,
-                    prep.n_t)
+    series = run_prepared(sc.prepare_barrier(spec), spec.default_n_t())
     stride = 20
     idx = np.arange(0, series.steps_completed + 1, stride)
     times = idx * series.dt
@@ -44,7 +47,7 @@ def reflection_run():
     ref_h = sc.analytic_region_energy(spec, times)[interior]
     series.compute_residuals(norm_P=float(ref_p.max()),
                              norm_H=float(ref_h.max()))
-    return {"spec": spec, "prep": prep, "series": series,
+    return {"spec": spec, "series": series,
             "idx": idx, "ref_p": ref_p, "idx_h": idx_h, "ref_h": ref_h}
 
 
@@ -72,7 +75,23 @@ def tunneling_run():
 
 @pytest.fixture(scope="session")
 def unstable_run():
-    """Deliberately unstable tunneling run (dt above the barrier limit)."""
+    """Deliberately unstable tunneling run (dt 1.005 times the barrier
+    region's closed-form limit, the smallest of the three) up to the
+    divergence guard, with the largest |psi| after every step."""
     spec = replace(sc.TunnelingSpec(), dt_factor=1.005)
-    graph, _ = sc.build_tunneling_graph(spec)
-    return instability_demo(graph, 1.005)
+    graph, dt = sc.build_tunneling_graph(spec)
+    norms = []
+
+    def track(windows):
+        norms.append(max(max(np.max(np.abs(w.psiR_np1)),
+                             np.max(np.abs(w.psiI_np)))
+                         for w in windows.values()))
+
+    norm0 = max(max(np.max(np.abs(r.state.psiR)),
+                    np.max(np.abs(r.state.psiI)))
+                for r in graph.regions.values())
+    with pytest.raises(DivergenceError) as exc_info:
+        run_coupled(graph, dt, 100_000, observers=(track,))
+    return {"series": exc_info.value.series,
+            "diverged_at": exc_info.value.step,
+            "norms": np.array(norms), "initial_norm": norm0}

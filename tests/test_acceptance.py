@@ -225,10 +225,8 @@ def test_tunneling_mode_energy_table(tunneling_run):
 # ---------------------------------------------------------------------------
 
 def test_instability_negative_probability_and_growth(unstable_run):
-    result = unstable_run
-    assert result.diverged_at is not None
-    m = result.diverged_at
-    p_barrier = result.series["barrier"].P
+    m = unstable_run["diverged_at"]
+    p_barrier = unstable_run["series"]["barrier"].P
     # The quadratic form loses positivity once the step passes the limit.
     assert np.nanmin(p_barrier[:m + 1]) < 0.0
     # Monotone growth of the unstable mode over the final decade of steps.
@@ -237,10 +235,10 @@ def test_instability_negative_probability_and_growth(unstable_run):
 
 
 def test_instability_probability_tracks_until_blowup(unstable_run):
-    result = unstable_run
-    total = sum(result.series[r].P for r in result.series)
+    series = unstable_run["series"]
+    total = sum(s.P for s in series.values())
     # norms[i] is the solution magnitude after step i + 1.
-    over = result.norms > 1e3 * result.initial_norm
+    over = unstable_run["norms"] > 1e3 * unstable_run["initial_norm"]
     assert np.any(over)
     first = int(np.argmax(over)) + 1
     assert np.nanmax(np.abs(total[:first + 1] - 1.0)) <= 1e-6

@@ -530,3 +530,14 @@ def test_tunneling_checkpoints_written_per_region(tmp_path):
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_VERIFY_FAILED, EXIT_CONFIG_ERROR,
                 EXIT_DIVERGED}) == 4
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_package_version_is_read_from_the_package():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    import fdtdq
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = read_configuration(pyproject)["project"]
+    assert project["version"] == fdtdq.__version__
+    assert project["name"] == "artifact"

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from fdtdq import scenarios as sc
 from fdtdq.constants import EV, BOLTZMANN
 from fdtdq.diagnostics import total_probability
-from fdtdq.grid import face_node_slices
+from fdtdq.grid import FACES, face_node_slices
 from fdtdq.operators import DiscreteOperators
 
 
@@ -74,9 +76,14 @@ def test_well_sample_phase_convention():
 
 def test_prepare_infinite_well():
     spec = sc.InfiniteWellSpec(n_cells=6)
-    prep = sc.prepare_infinite_well(spec, n_t=7)
-    assert prep.n_t == 7
-    assert prep.dt == spec.time_step()
+    graph, dt = sc.prepare_infinite_well(spec)
+    assert dt == spec.time_step()
+    assert list(graph.regions) == ["well"] and graph.interfaces == []
+    well = graph.regions["well"]
+    assert well.boundary.kinds == {f: "dirichlet0" for f in FACES}
+    psi_r, psi_i = sc.infinite_well_sample(spec, spec.grid(), dt)
+    assert np.array_equal(well.state.psiR, psi_r)
+    assert np.array_equal(well.state.psiI, psi_i)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +286,31 @@ def test_barrier_drive_is_bitwise_and_fills_per_block(barrier_spec,
 
 
 def test_prepare_barrier_defaults(barrier_spec):
-    prep = sc.prepare_barrier(barrier_spec, n_t=5)
-    assert prep.n_t == 5
+    graph, dt = sc.prepare_barrier(barrier_spec)
+    assert dt == barrier_spec.time_step()
+    assert list(graph.regions) == ["barrier"] and graph.interfaces == []
+    region = graph.regions["barrier"]
     assert sc.GaussianBarrierSpec().default_n_t() == 12208
-    assert prep.boundary.kinds["W"] == "prescribed"
-    assert prep.boundary.kinds["N"] == "neumann0"
+    assert region.boundary.kinds["W"] == "prescribed"
+    assert region.boundary.kinds["N"] == "neumann0"
     # The sampled state is uniform transversally.
-    r3 = prep.state.psiR.reshape(prep.ops.grid.node_shape)
+    r3 = region.state.psiR.reshape(region.grid.node_shape)
     assert np.max(np.abs(r3 - r3[:1, :1, :])) == 0.0
+
+
+def test_barrier_spec_is_frozen_and_replace_rebuilds_the_modes(barrier_spec):
+    moved = replace(barrier_spec, x0=-150e-9)
+    fresh = sc.GaussianBarrierSpec(x0=-150e-9)
+    assert moved == fresh
+    for name in ("k", "amps", "omega", "K", "R", "T"):
+        assert np.array_equal(bits(getattr(moved, name)),
+                              bits(getattr(fresh, name)))
+        assert not getattr(moved, name).flags.writeable
+    assert (moved.kbar, moved.sigma) == (fresh.kbar, fresh.sigma)
+    with pytest.raises(FrozenInstanceError):
+        moved.x0 = 0.0
+    with pytest.raises(FrozenInstanceError):
+        moved.lambda_bar = 20e-9
 
 
 # ---------------------------------------------------------------------------

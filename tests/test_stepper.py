@@ -143,12 +143,17 @@ def test_divergence_guard_attaches_partial_series():
     assert exc.step > 0
     assert hasattr(exc, "series")
     assert exc.series.steps_completed == exc.step
-    # The guard can be disabled; the run then only stops on non-finite values.
+    # A guard level that overflows to inf never trips; leapfrog's check
+    # then stops the run at the first step that leaves a non-finite
+    # sample, before that step is recorded.
     state2 = random_state(ops, seed=4)
     state2.psiR[mask] = 0.0
     state2.psiI[mask] = 0.0
-    with pytest.raises(DivergenceError):
-        run(state2, ops, bc, dt, 20000, guard_factor=None)
+    with pytest.raises(DivergenceError) as exc_info:
+        run(state2, ops, bc, dt, 20000, guard_factor=1e308)
+    exc = exc_info.value
+    assert exc.norm == np.inf
+    assert exc.series.steps_completed == exc.step - 1
 
 
 def test_checkpoint_exact_roundtrip(tmp_path):
