@@ -10,8 +10,9 @@ boundary) onto their collocated nodes:
 
     H_bot = (hbar^2 / 2m) L (n.) S''_b
 
-Both are available assembled (scipy.sparse, for spectral analysis on small
-grids) and matrix-free (numpy stencils, used for stepping).  The
+Both are available assembled (scipy.sparse, for checks on small grids)
+and matrix-free (numpy stencils, used for stepping); Sigma is also
+assembled densely with numpy, for spectral analysis on small grids.  The
 matrix-free H keeps the flux form, differences before sums, so it
 annihilates a constant exactly (an assembled CSR product does not).  It
 works on the flat node vector, in which the x, y and z neighbours of a
@@ -23,8 +24,8 @@ head node.  The 2N x 2N probability matrix is
 
     P = [[V'', -(dt/2 hbar) H], [-(dt/2 hbar) H, V'']].
 
-scipy.sparse is imported by the assembly functions only, so stepping never
-loads it.
+scipy.sparse is imported by the sparse assembly functions only, so neither
+stepping nor the stability analysis loads it.
 """
 
 import numpy as np
@@ -280,9 +281,29 @@ class DiscreteOperators:
         return sp.bmat([[vmat, -c * h], [-c * h, vmat]], format="csr")
 
     def assemble_sigma_dense(self):
-        """Dense Sigma = (1/hbar) V''^{-1/2} H V''^{-1/2} (small grids)."""
+        """Dense Sigma = (1/hbar) V''^{-1/2} H V''^{-1/2} (small grids).
+
+        Built with numpy alone, from the edges' tail and head nodes in
+        metric_diagonals order (x, y, then z edges).  Each edge's s/l'
+        goes to its (tail, head) pair with a minus sign, so the Laplacian
+        D S'' (l')^{-1} D^T is exactly symmetric.  Each diagonal entry sums
+        its node's edges in reverse edge order, the order in which the CSR
+        product of assemble_H adds them, so H has the same bits.
+        """
         self._check_assembly_size()
-        h = self.assemble_H().toarray()
+        n = self.grid.n_nodes
+        idx = np.arange(n).reshape(self.grid.node_shape)
+        tail = np.concatenate([idx[:, :, :-1].reshape(-1),
+                               idx[:, :-1].reshape(-1), idx[:-1].reshape(-1)])
+        head = np.concatenate([idx[:, :, 1:].reshape(-1),
+                               idx[:, 1:].reshape(-1), idx[1:].reshape(-1)])
+        w = self.metrics.s / self.metrics.lprime
+        lap = np.zeros((n, n))
+        lap[tail, head] = lap[head, tail] = -w
+        ends = np.stack([tail, head], axis=1).reshape(-1)[::-1]
+        np.fill_diagonal(lap, np.bincount(ends, np.repeat(w, 2)[::-1],
+                                          minlength=n))
+        h = self.constants.kinetic_factor * lap
+        h.reshape(-1)[::n + 1] += self.metrics.v * self.potential.values
         vs = self._v_inv_sqrt()
         return (vs[:, None] * h * vs[None, :]) / self.constants.hbar
-

@@ -13,9 +13,10 @@ V'' is the Kronecker product of per-axis weights, so the kinetic part of
 Sigma is a Kronecker sum of three symmetric tridiagonal 1-D matrices
 (kin / h^2) W^{-1/2} L W^{-1/2}.  When U varies along at most one axis its
 diagonal joins that axis's matrix, Sigma's eigenvalues are sums of three
-1-D eigenvalues, and rho(Sigma) comes from three tridiagonal solves.  Any
-other potential takes a dense symmetric eigensolve on small grids and
-matrix-free Lanczos iteration on large ones; a deterministic power
+1-D eigenvalues, and rho(Sigma) comes from dense eigensolves of the
+three (m+1) x (m+1) factors.  Any other potential takes a dense symmetric
+eigensolve on small grids and matrix-free Lanczos iteration on large
+ones; a deterministic power
 iteration is kept alongside as an independent cross-check.  The per-cell
 decomposition bounds dt_CFL <= min over cells of dt_CFL,gen(cell)
 <= dt_CFL,gen, with a closed form for the single-cell spectrum under a
@@ -32,8 +33,19 @@ Sylvester's law of inertia a block is positive definite exactly when its
 smallest Kronecker eigenvalue is positive, and then its smallest end comes
 from shift-invert Lanczos on its exact inverse (fast diagonalization:
 per-axis eigenvector transforms of the node array).  Every other end is a
-Lanczos run on the block over vol, so that ARPACK's absolute stopping
-floor stays far below the entries; no block is solved densely.
+Lanczos run on the block over vol; no block is solved densely.
+
+Lanczos iteration runs the plain three-term recurrence: it keeps two
+vectors and the tridiagonal T_k, and no basis.  Without
+reorthogonalization a converged Ritz value reappears in T_k as ghost
+copies, so the stopping rule looks at the cluster of Ritz values within
+1e-8 ||T_k|| of the wanted end.  From step 20 on, every max(8, k/8) steps,
+the member of that cluster with the smallest residual r = |beta_k s_k| is
+accepted once r <= 1e-12 ||T_k|| and r^2 / gap <= 1e-15 ||T_k||, with gap
+its distance to the nearest Ritz value outside the cluster; r^2 / gap
+bounds its error.  A breakdown (beta_k <= 1e-15 ||T_k||) ends the run with
+T_k's spectrum; a run that reaches its step limit raises StabilityError.
+Everything here runs on numpy alone.
 """
 
 import json
@@ -46,6 +58,10 @@ from .grid import PotentialField, RegionGrid, boundary_weights
 from .operators import DiscreteOperators
 
 DENSE_EIG_MAX_NODES = 4096
+# Step limit of a Lanczos run.  Every check solves T_k densely, so a run
+# that got this far would cost O(k^3) time and O(k^2) memory per check;
+# the shipped scenarios converge in at most a few hundred steps.
+LANCZOS_MAX_STEPS = 2000
 
 
 class StabilityError(RuntimeError):
@@ -143,20 +159,63 @@ def spectral_radius_power(ops, tol=1e-13, max_iter=100_000):
                                tol=tol, max_iter=max_iter)
 
 
-def _lanczos_extreme(matvec, start, which, maxiter):
-    """One extreme eigenvalue of a symmetric operator by matrix-free Lanczos.
+def _tridiagonal(diag, off):
+    """Dense symmetric tridiagonal matrix held in its lower triangle.
 
-    ARPACK stops when a Ritz estimate is below tol * max(eps^(2/3),
-    |theta|), an absolute floor for small theta, so the operator should
-    have entries of order one.
+    off sits on the sub-diagonal only: np.linalg.eigh and eigvalsh read
+    the lower triangle.
     """
-    import scipy.sparse.linalg as spla
+    a = np.diag(diag)
+    i = np.arange(off.size)
+    a[i + 1, i] = off
+    return a
 
-    n = start.size
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    vals = spla.eigsh(op, k=1, which=which, v0=start, tol=0,
-                      maxiter=maxiter, return_eigenvectors=False)
-    return float(vals[0])
+
+def _lanczos_extreme(matvec, start, which, maxiter=LANCZOS_MAX_STEPS):
+    """One extreme eigenvalue of a symmetric operator by Lanczos iteration.
+
+    which is "SA" (smallest), "LA" (largest) or "LM" (largest magnitude).
+    The recurrence and its stopping rule are described in the module
+    docstring.  Raises StabilityError, with the last estimate and its
+    residual, when maxiter steps do not converge.
+    """
+    if which not in ("SA", "LA", "LM"):
+        raise ValueError(f"unknown end {which!r}")
+    v = start / np.linalg.norm(start)
+    v_prev = np.zeros_like(v)
+    alpha, beta = [], []
+    b = bound = 0.0
+    check = 20
+    for k in range(1, maxiter + 1):
+        w = matvec(v)
+        a = float(v @ w)
+        w = w - a * v - b * v_prev
+        b_next = float(np.linalg.norm(w))
+        alpha.append(a)
+        bound = max(bound, abs(a) + b + b_next)  # >= ||T_k||
+        breakdown = b_next <= 1e-15 * bound
+        if breakdown or k >= check or k == maxiter:
+            theta, s = np.linalg.eigh(_tridiagonal(np.array(alpha),
+                                                   np.array(beta)))
+            resid = np.abs(b_next * s[-1])
+            t_norm = max(-theta[0], theta[-1])
+            sign = 1.0  # negate T_k's spectrum so the wanted end is on top
+            if which == "SA" or (which == "LM" and -theta[0] > theta[-1]):
+                sign, theta, resid = -1.0, -theta[::-1], resid[::-1]
+            near = theta >= theta[-1] - 1e-8 * t_norm
+            best = np.argmin(np.where(near, resid, np.inf))
+            r, estimate = resid[best], sign * theta[best]
+            further = theta[~near]
+            gap = theta[best] - further[-1] if further.size else np.inf
+            if breakdown or (r <= 1e-12 * t_norm
+                             and r * r <= 1e-15 * t_norm * gap):
+                return float(estimate)
+            check = k + max(8, k // 8)
+        beta.append(b_next)
+        v_prev, v, b = v, w / b_next, b_next
+    raise StabilityError(
+        f"Lanczos iteration did not converge in {maxiter} steps",
+        last_estimate=float(estimate), residual=float(r))
 
 
 def _one_axis_potential(potential):
@@ -178,7 +237,7 @@ def _one_axis_potential(potential):
 
 
 def _axis_factor(m, h, kin, u):
-    """Diagonal and off-diagonal of (kin / h^2) W^{-1/2} L W^{-1/2} + diag(u).
+    """(kin / h^2) W^{-1/2} L W^{-1/2} + diag(u), dense, lower triangle.
 
     L is the path-graph Laplacian of m + 1 nodes and W the boundary
     weights diag(1/2, 1, ..., 1, 1/2).
@@ -187,11 +246,11 @@ def _axis_factor(m, h, kin, u):
     lap = np.full(m + 1, 2.0)
     lap[[0, -1]] = 1.0
     scale = kin / h**2
-    return scale * lap / w + u, -scale / np.sqrt(w[:-1] * w[1:])
+    return _tridiagonal(scale * lap / w + u, -scale / np.sqrt(w[:-1] * w[1:]))
 
 
 def _axis_factors(ops, axis, profile):
-    """The 1-D factors of hbar Sigma along x, y and z, as (diag, off)."""
+    """The 1-D factors of hbar Sigma along x, y and z (see _axis_factor)."""
     grid = ops.grid
     kin = ops.constants.kinetic_factor
     return [_axis_factor(m, h, kin, profile if a == axis else 0.0)
@@ -202,11 +261,9 @@ def _axis_factors(ops, axis, profile):
 
 def _separable_spectral_radius(ops, axis, profile):
     """rho(Sigma) from the three 1-D spectra of its Kronecker sum."""
-    from scipy.linalg import eigh_tridiagonal
-
     lo = hi = 0.0
-    for diag, off in _axis_factors(ops, axis, profile):
-        vals = eigh_tridiagonal(diag, off, eigvals_only=True)
+    for factor in _axis_factors(ops, axis, profile):
+        vals = np.linalg.eigvalsh(factor)
         lo += vals[0]
         hi += vals[-1]
     return float(max(abs(lo), abs(hi)) / ops.constants.hbar)
@@ -231,7 +288,7 @@ def spectral_radius(ops, method="auto"):
         return float(np.max(np.abs(vals)))
     if method == "lanczos":
         start = _lcg_start_vector(n, _grid_seed(ops.grid))
-        return abs(_lanczos_extreme(ops.apply_sigma, start, "LM", 100 * n))
+        return abs(_lanczos_extreme(ops.apply_sigma, start, "LM"))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -308,10 +365,7 @@ def _kronecker_modes(ops):
         if separable is None:
             cache["_kron_modes"] = None
         else:
-            from scipy.linalg import eigh_tridiagonal
-
-            cache["_kron_modes"] = [eigh_tridiagonal(diag, off)
-                                    for diag, off in
+            cache["_kron_modes"] = [np.linalg.eigh(factor) for factor in
                                     _axis_factors(ops, *separable)]
     return cache["_kron_modes"]
 
@@ -370,14 +424,14 @@ def _solve_block_end(ops, c, sign, which):
                 a = _per_axis(a, qx.T, qy.T, qz.T) / kron
                 return d_inv_sqrt * _per_axis(a, qx, qy, qz).reshape(-1)
 
-            return vol / _lanczos_extreme(inverse, start, "LA", 100 * n)
+            return vol / _lanczos_extreme(inverse, start, "LA")
     scale = sign * c / vol
 
     def matvec(x):  # (V'' + sign c H) x / vol
         x = x.reshape(-1)
         return d * x + scale * ops.apply_H(x)
 
-    return vol * _lanczos_extreme(matvec, start, which, 200 * n)
+    return vol * _lanczos_extreme(matvec, start, which)
 
 
 def _block_signs(ops, which):
@@ -486,10 +540,9 @@ def check_theorems(grid, potential, constants, dt):
     dt_gen = 2.0 / rho
     cell_min, _ = per_cell_cfl_gen(grid, potential, constants)
     lam = lambda_min_P(ops, dt)
-    try:
-        kappa = kappa_P(ops, dt)
-    except StabilityError:
-        kappa = float("inf")
+    # kappa is infinite only where P is not positive definite; a Lanczos
+    # run that fails to converge raises.
+    kappa = kappa_P(ops, dt) if lam > 0.0 else float("inf")
     rel = 1e-12
     margin = min(cell_min - dt_cfl, dt_gen - cell_min) / dt_gen
     return StabilityReport(

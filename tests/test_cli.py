@@ -358,14 +358,15 @@ def test_verify_compares_the_structured_lambda_min_P_with_dense():
     assert tol == 1e-13 and residual <= tol
 
 
-def _modules_loaded_by_run(tmp_path, settings, prefixes):
-    """The modules named by prefixes that a fresh `fdtdq run` process of
-    settings has loaded once it finishes."""
+def _modules_loaded_by(subcommand, tmp_path, settings, prefixes):
+    """The modules named by prefixes that a fresh `fdtdq SUBCOMMAND`
+    process of settings has loaded once it finishes."""
     config = write_config(tmp_path, settings)
     script = (
         "import sys\n"
         "from fdtdq.cli import main\n"
-        "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        f"code = main([{subcommand!r}, '--config', sys.argv[1],"
+        " '--out', sys.argv[2]])\n"
         f"loaded = [m for m in sorted(sys.modules) if m.startswith({prefixes!r})]\n"
         "print('loaded:', ','.join(loaded))\n"
         "sys.exit(code)\n")
@@ -383,16 +384,27 @@ def _modules_loaded_by_run(tmp_path, settings, prefixes):
 def test_well_run_loads_no_sparse_or_optimize_scipy(tmp_path):
     # The cold start of a run stays cheap only while no module imports
     # scipy.sparse or scipy.optimize at top level.
-    assert _modules_loaded_by_run(
-        tmp_path, {"scenario": "infinite_well", "n_cells": 4, "n_t": 3},
+    assert _modules_loaded_by(
+        "run", tmp_path, {"scenario": "infinite_well", "n_cells": 4,
+                          "n_t": 3},
         ("scipy.sparse", "scipy.optimize")) == "loaded: "
 
 
 def test_tunneling_run_loads_no_scipy(tmp_path):
     # The mode energies come from scenarios._brentq, not scipy.optimize,
     # whose import alone took about half a second of the set-up.
-    assert _modules_loaded_by_run(
-        tmp_path, {**TINY["tunneling"], "n_t": 3}, "scipy") == "loaded: "
+    assert _modules_loaded_by(
+        "run", tmp_path, {**TINY["tunneling"], "n_t": 3},
+        "scipy") == "loaded: "
+
+
+@pytest.mark.parametrize("scenario", sorted(TINY))
+def test_cfl_loads_no_scipy(tmp_path, scenario):
+    # The stability report runs on numpy alone; scipy's linalg and
+    # sparse.linalg imports cost 0.2-0.3 s per process.
+    assert _modules_loaded_by(
+        "cfl", tmp_path, TINY[scenario], "scipy") == "loaded: "
+    assert (tmp_path / "out" / "stability.json").is_file()
 
 
 @pytest.mark.parametrize("key,settings", [

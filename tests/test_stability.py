@@ -284,23 +284,31 @@ def _one_axis_ops():
 
 
 def _count_solves(monkeypatch):
-    """Count single-matrix eigvalsh calls and Lanczos runs."""
-    import scipy.sparse.linalg as spla
+    """Count Lanczos runs, and record the order of every single-matrix
+    eigvalsh or eigh outside them (Lanczos solves its own T_k)."""
+    counts = {"lanczos": 0, "orders": []}
+    lanczos = stability._lanczos_extreme
+    inside = []
 
-    counts = {"eigvalsh": 0, "eigsh": 0}
-    eigvalsh, eigsh = np.linalg.eigvalsh, spla.eigsh
+    def counted_lanczos(*args, **kwargs):
+        counts["lanczos"] += 1
+        inside.append(True)
+        try:
+            return lanczos(*args, **kwargs)
+        finally:
+            inside.pop()
 
-    def counted_eigvalsh(a, *args, **kwargs):
-        if np.ndim(a) == 2:  # the per-cell pass solves a stack at once
-            counts["eigvalsh"] += 1
-        return eigvalsh(a, *args, **kwargs)
+    def counting(solve):
+        def counted(a, *args, **kwargs):
+            # The per-cell pass solves a stack at once.
+            if np.ndim(a) == 2 and not inside:
+                counts["orders"].append(len(a))
+            return solve(a, *args, **kwargs)
+        return counted
 
-    def counted_eigsh(*args, **kwargs):
-        counts["eigsh"] += 1
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(spla, "eigsh", counted_eigsh)
+    monkeypatch.setattr(stability, "_lanczos_extreme", counted_lanczos)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     return counts
 
 
@@ -326,8 +334,9 @@ def test_check_theorems_solves_each_block_once(monkeypatch, lanczos):
         monkeypatch.setattr(stability, "DENSE_EIG_MAX_NODES", 0)
     counts = _count_solves(monkeypatch)
     report = check_theorems(grid, pot, ELECTRON, dt)
-    # rho(Sigma) is per-axis here, so it needs neither kind of solve.
-    assert counts == {"eigvalsh": 0, "eigsh": 2}
+    # rho(Sigma) and the Kronecker modes each solve the three per-axis
+    # factors (orders 5, 4 and 3); no N x N matrix is solved.
+    assert counts == {"lanczos": 2, "orders": [5, 4, 3, 5, 4, 3]}
     assert report.lambda_min_P == lambda_min_P(fresh[0], dt)
     assert report.kappa_P == kappa_P(fresh[1], dt)
     assert report.P_positive_definite and report.ordering_holds
@@ -348,19 +357,36 @@ def test_unstable_dt_gives_infinite_kappa(monkeypatch, lanczos):
     assert report.kappa_P == float("inf")
     # V'' - cH is indefinite, so its smallest end is one Lanczos run, and
     # kappa_P stops at it, which lambda_min_P has solved.
-    assert counts == {"eigvalsh": 0, "eigsh": 1}
+    assert counts == {"lanczos": 1, "orders": [5, 4, 3, 5, 4, 3]}
 
 
-@st.composite
-def block_cases(draw):
-    """A grid of 1-8 cells per axis, a U uniform, along one axis or 3-D,
-    and a time step between 0.05 and 1.5 times the generalized limit."""
-    cells = [draw(st.integers(1, 8)) for _ in range(3)]
-    spacing = [draw(st.floats(0.3e-9, 2e-9)) for _ in range(3)]
+def test_check_theorems_raises_when_kappa_does_not_converge(monkeypatch):
+    # kappa_P reads inf only where P is not positive definite; here P is,
+    # and the Lanczos run for its largest end stops at maxiter 3.
+    grid, pot = _one_axis_ops()
+    dt = 0.9 * cfl_limit(grid, pot, ELECTRON)
+    lanczos = stability._lanczos_extreme
+    runs = []
+
+    def starve_second_run(matvec, start, which):
+        runs.append(which)
+        if len(runs) == 2:
+            return lanczos(matvec, start, which, maxiter=3)
+        return lanczos(matvec, start, which)
+
+    monkeypatch.setattr(stability, "_lanczos_extreme", starve_second_run)
+    with pytest.raises(StabilityError, match="did not converge"):
+        check_theorems(grid, pot, ELECTRON, dt)
+    assert len(runs) == 2
+
+
+def _block_case(cells, spacing, seed, shape, offset, ratio):
+    """(ops, dt) for a grid of the given cells and spacings, a U uniform
+    (offset eV) or along one axis (0, 1, 2) or 3-D, drawn from seed, and
+    dt = ratio times the generalized limit."""
     grid = RegionGrid(*cells, *spacing)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = draw(st.sampled_from(["uniform", 0, 1, 2, "3-D"]))
-    offset = draw(st.floats(-1.0, 1.0)) * EV
+    rng = np.random.default_rng(seed)
+    offset *= EV
     if shape == "uniform":
         u3 = np.full(grid.node_shape, offset)
     elif shape == "3-D":
@@ -371,15 +397,35 @@ def block_cases(draw):
         dims[2 - shape] = cells[shape] + 1
         u3 = np.broadcast_to(offset + profile.reshape(dims), grid.node_shape)
     ops = DiscreteOperators(grid, PotentialField(grid, u3), ELECTRON)
-    dt = draw(st.floats(0.05, 1.5)) * cfl_gen_limit(ops, method="dense")
-    return ops, dt
+    return ops, ratio * cfl_gen_limit(ops, method="dense")
+
+
+@st.composite
+def block_cases(draw):
+    """Arguments of _block_case: a grid of 1-8 cells per axis, a U
+    uniform, along one axis or 3-D, and a time step between 0.05 and 1.5
+    times the generalized limit."""
+    return ([draw(st.integers(1, 8)) for _ in range(3)],
+            [draw(st.floats(0.3e-9, 2e-9)) for _ in range(3)],
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.sampled_from(["uniform", 0, 1, 2, "3-D"])),
+            draw(st.floats(-1.0, 1.0)), draw(st.floats(0.05, 1.5)))
 
 
 @pytest.mark.parametrize("dense_max", [stability.DENSE_EIG_MAX_NODES, 0])
 @settings(max_examples=40, deadline=None)
 @given(block_cases())
+# 18 nodes: a Lanczos run capped at n steps stopped 8.6e-6 hi short.
+@example(([1, 2, 2], [1.4442619914724259e-09, 1.1267963271858197e-09,
+                      1.2499519383660124e-09], 3099886206, "3-D",
+          -0.883026005427086, 0.19761609360960591))
+# Accepting a stagnant Ritz value with r <= 1e-7 ||T|| stopped 2.6e-11 hi
+# away from lambda_min here.
+@example(([4, 7, 2], [1.0258151123346875e-09, 1.3630473405175666e-09,
+                      1.0945738393585769e-09], 1181312477, 0,
+          0.13720370467255227, 0.5508588078529937))
 def test_lambda_min_and_kappa_P_match_dense_blocks(dense_max, case):
-    ops, dt = case
+    ops, dt = _block_case(*case)
     lo, hi = _dense_block_ends(ops, dt)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stability, "DENSE_EIG_MAX_NODES", dense_max)
@@ -411,3 +457,129 @@ def test_lambda_min_P_beyond_the_dense_size_matches_shift_invert():
                            return_eigenvectors=False)[0]
     lam = lambda_min_P(ops, dt)
     assert abs(lam - ref) <= 1e-11 * ref
+
+
+def _symmetric_with_repeated_top(n, seed):
+    """A random symmetric matrix of order n whose top eigenvalue is
+    repeated (three times when n >= 3), as the cubic well's Sigma's."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(-1.0, 1.0, n)
+    lam[:3] = lam.max()
+    a = (q * lam) @ q.T
+    return 0.5 * (a + a.T), rng
+
+
+def _wanted_end(vals, which):
+    return {"SA": vals[0], "LA": vals[-1],
+            "LM": vals[np.argmax(np.abs(vals))]}[which]
+
+
+@pytest.mark.parametrize("which", ["SA", "LA", "LM"])
+@pytest.mark.parametrize("n", range(1, 31))
+def test_lanczos_matches_eigvalsh(n, which):
+    a, rng = _symmetric_with_repeated_top(n, seed=n)
+    vals = np.linalg.eigvalsh(a)
+    got = stability._lanczos_extreme(lambda x: a @ x,
+                                     rng.standard_normal(n), which, 100 * n)
+    assert abs(got - _wanted_end(vals, which)) <= 1e-13 * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("which", ["SA", "LA"])
+@pytest.mark.parametrize("n", [10, 20, 30])
+def test_lanczos_from_a_start_nearly_orthogonal_to_the_end(n, which):
+    # The wanted eigenvector makes up 1e-8 of the start vector.
+    rng = np.random.default_rng(100 + n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.sort(rng.uniform(0.0, 1.0, n))
+    a = (q * lam) @ q.T
+    end = 0 if which == "SA" else n - 1
+    others = np.delete(q, end, axis=1)
+    start = others @ rng.standard_normal(n - 1) + 1e-8 * q[:, end]
+    got = stability._lanczos_extreme(lambda x: a @ x, start, which, 100 * n)
+    assert abs(got - lam[end]) <= 1e-13
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_lanczos_stops_on_breakdown(rank):
+    # A start vector in an invariant subspace of dimension rank makes
+    # beta_rank vanish; the next Lanczos vector would be 0/0.
+    a = np.diag(np.arange(1.0, 9.0))
+    start = np.zeros(8)
+    start[[2, 5][:rank]] = 1.0
+    applied = []
+
+    def matvec(x):
+        applied.append(x)
+        return a @ x
+
+    got = stability._lanczos_extreme(matvec, start, "LA", 800)
+    assert len(applied) == rank
+    assert got == pytest.approx([3.0, 6.0][rank - 1], rel=1e-15)
+
+
+def test_lanczos_nonconvergence_reports_state():
+    a, rng = _symmetric_with_repeated_top(30, seed=1)
+    with pytest.raises(StabilityError) as exc_info:
+        stability._lanczos_extreme(lambda x: a @ x, rng.standard_normal(30),
+                                   "LA", 3)
+    err = exc_info.value
+    assert err.last_estimate is not None and err.residual > 0.0
+    assert err.last_estimate <= np.linalg.eigvalsh(a)[-1] * (1.0 + 1e-15)
+    with pytest.raises(ValueError):
+        stability._lanczos_extreme(lambda x: a @ x, rng.standard_normal(30),
+                                   "BE", 3)
+
+
+def test_lanczos_matches_arpack_on_the_barrier_plus_block():
+    # The barrier's V'' + cH at its time step: kappa(P) ~ 3 800, the
+    # largest block end converges slowest (about 335 Lanczos steps).
+    import scipy.sparse.linalg as spla
+
+    from fdtdq.scenarios import GaussianBarrierSpec
+
+    spec = GaussianBarrierSpec()
+    grid = spec.grid()
+    ops = DiscreteOperators(grid, spec.potential(grid), spec.constants)
+    c = spec.time_step() / (2.0 * spec.constants.hbar)
+    vol = grid.cell_volume
+    d = ops.metrics.v / vol
+
+    def matvec(x):
+        x = x.reshape(-1)
+        return d * x + (c / vol) * ops.apply_H(x)
+
+    n = grid.n_nodes
+    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    ref = vol * spla.eigsh(op, k=1, which="LA", tol=0,
+                           v0=_lcg_start_vector(n, 1),
+                           return_eigenvectors=False)[0]
+    got = stability._block_extreme(ops, c, 1.0, "LA")
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+def test_well_plus_block_converges_despite_ghost_copies(monkeypatch):
+    # The 30^3-cell well's largest end of V'' + cH.  Once it converges,
+    # ghost copies of it keep the residual of the extreme Ritz value from
+    # falling: a rule that waited for that residual took 1 939 steps with
+    # one BLAS thread, where the best of the cluster is accepted in 119.
+    from fdtdq.scenarios import InfiniteWellSpec
+
+    spec = InfiniteWellSpec()
+    grid = spec.grid()
+    ops = DiscreteOperators(grid, spec.potential(grid), spec.constants)
+    lanczos = stability._lanczos_extreme
+    steps = []
+
+    def counted(matvec, start, which):
+        steps.append(0)
+
+        def counted_matvec(x):
+            steps[-1] += 1
+            return matvec(x)
+
+        return lanczos(counted_matvec, start, which)
+
+    monkeypatch.setattr(stability, "_lanczos_extreme", counted)
+    assert kappa_P(ops, spec.time_step()) > 1.0
+    assert len(steps) == 2 and max(steps) <= 200
