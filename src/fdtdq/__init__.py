@@ -12,13 +12,12 @@ from .stepper import (BoundaryCondition, DivergenceError, Region,
                       StaggeredState, StepWindow, load_checkpoint, run,
                       save_checkpoint, step)
 from .diagnostics import (CSV_COLUMNS, DiagnosticsSeries, SeriesBuilder,
-                          energy_lower_bound, energy_simple,
                           probability_current_by_face, probability_simple,
-                          supplied_power, total_energy, total_probability)
+                          supplied_power, total_probability)
 from .stability import (StabilityError, StabilityReport, cfl_gen_limit,
                         cfl_limit, check_theorems, kappa_P, lambda_min_P,
-                        per_cell_cfl_gen, power_iteration,
-                        single_cell_sigma_eigvals, spectral_radius)
+                        per_cell_cfl_gen, single_cell_sigma_eigvals,
+                        spectral_radius)
 from .coupling import (Interface, RegionGraph, UnstableTimeStep,
                        coupled_step, cross_region_conservation,
                        interface_current_mismatch, run_coupled)

@@ -321,10 +321,22 @@ SCENARIOS = {
 }
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float, in nested dicts too, as None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_json(path, obj):
-    """Indented JSON plus a newline, written atomically."""
+    """Indented JSON plus a newline, written atomically.
+
+    JSON has no NaN or infinity, so non-finite values are written as null.
+    """
     with atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(_finite_or_null(obj), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -399,6 +411,10 @@ def _verify_checks():
     from .stability import (lambda_min_P, per_cell_cfl_gen,
                             single_cell_sigma_eigvals, spectral_radius)
 
+    def dense_rho(region_ops):
+        return float(np.max(np.abs(np.linalg.eigvalsh(
+            region_ops.assemble_sigma_dense()))))
+
     checks = []
     rng = np.random.default_rng(20240817)
     grid = RegionGrid(5, 4, 3, 0.9e-9, 1.1e-9, 1.3e-9)
@@ -436,14 +452,14 @@ def _verify_checks():
     profile = rng.uniform(-1.0, 1.0, agrid.ny + 1) * EV
     aops = DiscreteOperators(agrid, PotentialField(agrid, np.broadcast_to(
         profile[None, :, None], agrid.node_shape)), ELECTRON)
-    rho_dense = spectral_radius(aops, method="dense")
+    rho_dense = dense_rho(aops)
     checks.append(("per-axis rho(Sigma) vs dense",
                    abs(spectral_radius(aops) - rho_dense)
                    / rho_dense, 1e-13))
     # The same grid's P blocks, by fast diagonalization and densely.
     dt_a = 1.8 / rho_dense
     c = dt_a / (2.0 * ELECTRON.hbar)
-    ha = aops.assemble_H().toarray()
+    ha = aops.assemble_H()
     ends = [np.linalg.eigvalsh(np.diag(aops.metrics.v) + s * c * ha)
             for s in (-1.0, 1.0)]
     lo = min(e[0] for e in ends)
@@ -451,7 +467,7 @@ def _verify_checks():
                    abs(lambda_min_P(aops, dt_a) - lo)
                    / max(e[-1] for e in ends), 1e-13))
 
-    rho = spectral_radius(ops, method="dense")
+    rho = dense_rho(ops)
     dt_gen = 2.0 / rho
     cell_min, _ = per_cell_cfl_gen(grid, u, ELECTRON)
     dt_cfl = cfl_limit(grid, u, ELECTRON)

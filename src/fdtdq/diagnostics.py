@@ -85,25 +85,6 @@ def probability_simple(psiR, psiI, ops):
     return _dot(psiR, v * psiR) + _dot(psiI, v * psiI)
 
 
-def energy_simple(psiR, psiI, ops, h_psiR=None, h_psiI=None):
-    """Direct discretization of the energy integral."""
-    if h_psiR is None:
-        h_psiR = ops.apply_H(psiR)
-    if h_psiI is None:
-        h_psiI = ops.apply_H(psiI)
-    return _dot(psiR, h_psiR) + _dot(psiI, h_psiI)
-
-
-def total_energy(psiR, psiR_prev, psiI, psiI_next, ops, dt,
-                 h_psiR=None, h_psiI=None):
-    """H^n; psiI/psiI_next are psi_I^{n-1/2} and psi_I^{n+1/2}."""
-    simple = energy_simple(psiR, psiI, ops, h_psiR=h_psiR, h_psiI=h_psiI)
-    v = ops.metrics.v
-    corr = (ops.constants.hbar / dt) * _dot(psiR - psiR_prev,
-                                            v * (psiI_next - psiI))
-    return simple + corr
-
-
 def probability_current_by_face(ops, window, faces=FACES):
     """Per-face probability current I_P^{n+1/2}; returns dict face -> value.
 
@@ -162,17 +143,6 @@ def supplied_power(ops, window, grad_r_next, grad_i_prev, dt, faces=FACES):
         acc_r += _dot(r_np1[sl] - r_n[sl], coeff * gr_avg)
         acc_i += _dot(i_np[sl] - i_nm[sl], coeff * gi_avg)
     return (2.0 / dt) * (acc_r + acc_i)
-
-
-def energy_lower_bound(ops, dt, p_max, lambda_min=None):
-    """A priori lower bound on H^n given the peak probability p_max."""
-    if lambda_min is None:
-        from .stability import lambda_min_P
-        lambda_min = lambda_min_P(ops, dt)
-    grid = ops.grid
-    u_min = min(ops.potential.min, 0.0)
-    hbar = ops.constants.hbar
-    return grid.cell_volume * (p_max / lambda_min) * (u_min - 4.0 * hbar / dt)
 
 
 @dataclass
@@ -288,8 +258,9 @@ class SeriesBuilder:
     n = 1 (the base H^1 of residual_H) and, for P by finish, on the final
     row; every other row stays NaN.  The products are formed in two N-sized
     buffers owned by the builder and summed with np.sum, so each value has
-    the bits of total_probability, probability_simple, total_energy and
-    energy_simple.
+    the bits of total_probability and probability_simple, and H and
+    H_simple those of the module docstring's formulas with every inner
+    product a plain np.sum.
     """
 
     def __init__(self, ops, dt, n_t, faces=FACES, stride=1):

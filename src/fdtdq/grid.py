@@ -4,9 +4,9 @@ A region is a box of n_x * n_y * n_z primary cells.  Wavefunction samples
 live on primary nodes.  Secondary (dual) cells are centered on the primary
 nodes; cells adjacent to a boundary face are halved in that direction.
 
-Public (i, j, k) indices are 1-based.  Linear storage is 0-based with i
-running fastest, matching the Kronecker ordering used for all operators:
-a node (i, j, k) maps to (i-1) + (j-1)*(n_x+1) + (k-1)*(n_x+1)*(n_y+1).
+Linear storage is 0-based with i running fastest, matching the Kronecker
+ordering used for all operators: the node (i, j, k), counted from 1 along
+each axis, maps to (i-1) + (j-1)*(n_x+1) + (k-1)*(n_x+1)*(n_y+1).
 3D views of a node vector therefore have shape (n_z+1, n_y+1, n_x+1).
 """
 
@@ -61,10 +61,6 @@ class RegionGrid:
         return (ex, ey, ez)
 
     @property
-    def n_edges(self):
-        return sum(self.edge_counts)
-
-    @property
     def cell_volume(self):
         return self.dx * self.dy * self.dz
 
@@ -105,80 +101,6 @@ class RegionGrid:
         y = self.origin[1] + self.dy * np.arange(self.ny + 1)
         z = self.origin[2] + self.dz * np.arange(self.nz + 1)
         return x, y, z
-
-
-def node_index(grid, i, j, k):
-    """1-based linear index of primary node (i, j, k)."""
-    if not (1 <= i <= grid.nx + 1 and 1 <= j <= grid.ny + 1
-            and 1 <= k <= grid.nz + 1):
-        raise IndexError(f"node ({i},{j},{k}) outside grid")
-    return i + (j - 1) * (grid.nx + 1) + (k - 1) * (grid.nx + 1) * (grid.ny + 1)
-
-
-def node_index_inverse(grid, t):
-    """Inverse of node_index: 1-based linear index -> (i, j, k)."""
-    if not (1 <= t <= grid.n_nodes):
-        raise IndexError(f"linear index {t} outside grid")
-    t0 = t - 1
-    nx1 = grid.nx + 1
-    ny1 = grid.ny + 1
-    i = t0 % nx1
-    j = (t0 // nx1) % ny1
-    k = t0 // (nx1 * ny1)
-    return (i + 1, j + 1, k + 1)
-
-
-def edge_index(grid, axis, i, j, k):
-    """1-based index of a primary edge within the full edge vector.
-
-    The edge is identified by a half-integer triple, e.g. an x-directed edge
-    between nodes (i, j, k) and (i+1, j, k) is (i + 0.5, j, k).  The vector
-    is laid out as the x block, then the y block, then the z block.
-    """
-    ex, ey, ez = grid.edge_counts
-    if axis == "x":
-        ii, jj, kk = i - 0.5, j, k
-        if ii != int(ii) or jj != int(jj) or kk != int(kk):
-            raise IndexError("not a valid x-directed edge triple")
-        ii, jj, kk = int(ii), int(jj), int(kk)
-        if not (1 <= ii <= grid.nx and 1 <= jj <= grid.ny + 1
-                and 1 <= kk <= grid.nz + 1):
-            raise IndexError("x-edge outside grid")
-        return ii + (jj - 1) * grid.nx + (kk - 1) * grid.nx * (grid.ny + 1)
-    if axis == "y":
-        ii, jj, kk = i, j - 0.5, k
-        if ii != int(ii) or jj != int(jj) or kk != int(kk):
-            raise IndexError("not a valid y-directed edge triple")
-        ii, jj, kk = int(ii), int(jj), int(kk)
-        if not (1 <= ii <= grid.nx + 1 and 1 <= jj <= grid.ny
-                and 1 <= kk <= grid.nz + 1):
-            raise IndexError("y-edge outside grid")
-        return ex + ii + (jj - 1) * (grid.nx + 1) \
-            + (kk - 1) * (grid.nx + 1) * grid.ny
-    if axis == "z":
-        ii, jj, kk = i, j, k - 0.5
-        if ii != int(ii) or jj != int(jj) or kk != int(kk):
-            raise IndexError("not a valid z-directed edge triple")
-        ii, jj, kk = int(ii), int(jj), int(kk)
-        if not (1 <= ii <= grid.nx + 1 and 1 <= jj <= grid.ny + 1
-                and 1 <= kk <= grid.nz):
-            raise IndexError("z-edge outside grid")
-        return ex + ey + ii + (jj - 1) * (grid.nx + 1) \
-            + (kk - 1) * (grid.nx + 1) * (grid.ny + 1)
-    raise ValueError(f"unknown axis {axis!r}")
-
-
-def secondary_volume(grid, i, j, k):
-    """Volume of the secondary cell around node (i, j, k)."""
-    node_index(grid, i, j, k)  # range check
-    v = grid.cell_volume
-    if i in (1, grid.nx + 1):
-        v *= 0.5
-    if j in (1, grid.ny + 1):
-        v *= 0.5
-    if k in (1, grid.nz + 1):
-        v *= 0.5
-    return v
 
 
 def boundary_weights(m):

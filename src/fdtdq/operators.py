@@ -10,22 +10,22 @@ boundary) onto their collocated nodes:
 
     H_bot = (hbar^2 / 2m) L (n.) S''_b
 
-Both are available assembled (scipy.sparse, for checks on small grids)
-and matrix-free (numpy stencils, used for stepping); Sigma is also
-assembled densely with numpy, for spectral analysis on small grids.  The
-matrix-free H keeps the flux form, differences before sums, so it
-annihilates a constant exactly (an assembled CSR product does not).  It
-works on the flat node vector, in which the x, y and z neighbours of a
-node sit 1, nx+1 and (nx+1)(ny+1) entries away: along each axis one
-contiguous difference v[off:] - v[:-off], scaled by the edge
-coefficients kin * S''/l' and zeroed where the pair wraps to the next row
-or plane, is the edge flux, which leaves its tail node and enters its
-head node.  The 2N x 2N probability matrix is
+Stepping and the stability analysis apply both matrix-free (numpy
+stencils).  The matrix-free H keeps the flux form, differences before
+sums, so it annihilates a constant exactly (an assembled matrix product
+does not).  It works on the flat node vector, in which the x, y and z
+neighbours of a node sit 1, nx+1 and (nx+1)(ny+1) entries away: along
+each axis one contiguous difference v[off:] - v[:-off], scaled by the
+edge coefficients kin * S''/l' and zeroed where the pair wraps to the
+next row or plane, is the edge flux, which leaves its tail node and
+enters its head node.  The 2N x 2N probability matrix is
 
     P = [[V'', -(dt/2 hbar) H], [-(dt/2 hbar) H, V'']].
 
-scipy.sparse is imported by the sparse assembly functions only, so neither
-stepping nor the stability analysis loads it.
+H, H_bot, P and Sigma are also assembled as dense numpy matrices, for
+checks and dense eigensolves on small grids.  Every assembly refuses a
+grid of more than DENSE_EIG_MAX_NODES nodes with a ValueError before it
+allocates: at that limit one N x N float64 matrix takes 134 MB.
 """
 
 import numpy as np
@@ -33,72 +33,12 @@ import numpy as np
 from .grid import (FACES, FACE_SIGN, boundary_weights, face_node_slices,
                    metric_diagonals)
 
-# Explicit sparse assembly is only intended for spectral analysis at desk
-# scale; stepping always goes through the matrix-free path.
-MAX_ASSEMBLY_NODES = 200_000
-
-
-def _difference_matrix(m):
-    """W_m = [0 | I] - [I | 0], shape m x (m+1)."""
-    import scipy.sparse as sp
-
-    return sp.eye(m, m + 1, k=1, format="csr") - sp.eye(m, m + 1, k=0,
-                                                        format="csr")
-
-
-def build_incidence_D(grid):
-    """Node-edge incidence matrix D, nodes x edges, blocks [Dx | Dy | Dz].
-
-    Each column holds +1 at the tail node and -1 at the head node of the
-    corresponding primary edge.
-    """
-    import scipy.sparse as sp
-
-    ix = sp.identity(grid.nx + 1, format="csr")
-    iy = sp.identity(grid.ny + 1, format="csr")
-    iz = sp.identity(grid.nz + 1, format="csr")
-    wxt = _difference_matrix(grid.nx).T
-    wyt = _difference_matrix(grid.ny).T
-    wzt = _difference_matrix(grid.nz).T
-    dx_blk = -sp.kron(iz, sp.kron(iy, wxt))
-    dy_blk = -sp.kron(iz, sp.kron(wyt, ix))
-    dz_blk = -sp.kron(wzt, sp.kron(iy, ix))
-    return sp.hstack([dx_blk, dy_blk, dz_blk], format="csr")
-
-
-def _basis_column(p, m):
-    """e{p, m}: m x 1 sparse column with a 1 in (1-based) position p."""
-    import scipy.sparse as sp
-
-    return sp.csr_matrix((np.ones(1), (np.array([p - 1]), np.array([0]))),
-                         shape=(m, 1))
-
-
-def build_boundary_L(grid):
-    """Boundary collocation matrix L, nodes x hanging variables.
-
-    Face blocks in W, E, S, N, B, T order; each column holds a single +1 at
-    the node collocated with the hanging variable.
-    """
-    import scipy.sparse as sp
-
-    nx1, ny1, nz1 = grid.nx + 1, grid.ny + 1, grid.nz + 1
-    ix = sp.identity(nx1, format="csr")
-    iy = sp.identity(ny1, format="csr")
-    iz = sp.identity(nz1, format="csr")
-    blocks = {
-        "W": sp.kron(iz, sp.kron(iy, _basis_column(1, nx1))),
-        "E": sp.kron(iz, sp.kron(iy, _basis_column(nx1, nx1))),
-        "S": sp.kron(iz, sp.kron(_basis_column(1, ny1), ix)),
-        "N": sp.kron(iz, sp.kron(_basis_column(ny1, ny1), ix)),
-        "B": sp.kron(_basis_column(1, nz1), sp.kron(iy, ix)),
-        "T": sp.kron(_basis_column(nz1, nz1), sp.kron(iy, ix)),
-    }
-    return sp.hstack([blocks[f] for f in FACES], format="csr")
+# Largest node count of a dense assembly, and so of a dense eigensolve.
+DENSE_EIG_MAX_NODES = 4096
 
 
 class DiscreteOperators:
-    """Matrix-free operator applications plus optional sparse assembly."""
+    """Matrix-free operator applications plus dense assembly."""
 
     def __init__(self, grid, potential, constants):
         if potential.values.size != grid.n_nodes:
@@ -164,15 +104,6 @@ class DiscreteOperators:
         start, stop, shape = self._face_layout[face]
         return b[start:stop].reshape(shape)
 
-    def split_hanging(self, b):
-        """Split a flat hanging-variable vector into per-face 2D arrays."""
-        return {f: self.face_block(b, f) for f in FACES}
-
-    def join_hanging(self, by_face):
-        """Inverse of split_hanging."""
-        return np.concatenate(
-            [np.asarray(by_face[f], dtype=float).reshape(-1) for f in FACES])
-
     def zero_hanging(self):
         return np.zeros(self.n_hanging)
 
@@ -218,15 +149,6 @@ class DiscreteOperators:
                 self.face_coeff[f] * self.face_block(b, f)
         return out.reshape(-1)
 
-    def apply_Hbot_T(self, v):
-        """H_bot^T v: gather boundary-node samples into hanging layout."""
-        if v.size != self.grid.n_nodes:
-            raise ValueError("vector length does not match node count")
-        psi = v.reshape(self.grid.node_shape)
-        return self.join_hanging(
-            {f: self.face_coeff[f] * psi[self.face_slices[f]]
-             for f in FACES})
-
     def apply_sigma(self, v):
         """Sigma v with Sigma = (1/hbar) V''^{-1/2} H V''^{-1/2}."""
         vs = self._v_inv_sqrt()
@@ -237,60 +159,26 @@ class DiscreteOperators:
             self._vis = 1.0 / np.sqrt(self.metrics.v)
         return self._vis
 
-    # ---- sparse assembly ------------------------------------------------
+    # ---- dense assembly -------------------------------------------------
 
-    def _check_assembly_size(self):
-        if self.grid.n_nodes > MAX_ASSEMBLY_NODES:
+    def _check_dense_size(self):
+        if self.grid.n_nodes > DENSE_EIG_MAX_NODES:
             raise ValueError(
                 f"refusing to assemble operators for {self.grid.n_nodes} "
-                f"nodes (limit {MAX_ASSEMBLY_NODES}); use the matrix-free "
+                f"nodes (limit {DENSE_EIG_MAX_NODES}); use the matrix-free "
                 "path")
 
     def assemble_H(self):
-        """Explicit sparse H (symmetric)."""
-        import scipy.sparse as sp
+        """Dense H, exactly symmetric.
 
-        self._check_assembly_size()
-        d = build_incidence_D(self.grid)
-        m = self.metrics
-        kin = self.constants.kinetic_factor
-        lap = d @ sp.diags(m.s / m.lprime) @ d.T
-        return (kin * lap
-                + sp.diags(m.v * self.potential.values)).tocsr()
-
-    def assemble_Hbot(self):
-        """Explicit sparse H_bot, nodes x hanging variables."""
-        import scipy.sparse as sp
-
-        self._check_assembly_size()
-        ell = build_boundary_L(self.grid)
-        m = self.metrics
-        kin = self.constants.kinetic_factor
-        return (kin * ell @ sp.diags(m.nsign * m.sb)).tocsr()
-
-    def assemble_P(self, dt):
-        """Explicit sparse probability matrix P for a given time step."""
-        import scipy.sparse as sp
-
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        self._check_assembly_size()
-        h = self.assemble_H()
-        vmat = sp.diags(self.metrics.v)
-        c = dt / (2.0 * self.constants.hbar)
-        return sp.bmat([[vmat, -c * h], [-c * h, vmat]], format="csr")
-
-    def assemble_sigma_dense(self):
-        """Dense Sigma = (1/hbar) V''^{-1/2} H V''^{-1/2} (small grids).
-
-        Built with numpy alone, from the edges' tail and head nodes in
-        metric_diagonals order (x, y, then z edges).  Each edge's s/l'
-        goes to its (tail, head) pair with a minus sign, so the Laplacian
-        D S'' (l')^{-1} D^T is exactly symmetric.  Each diagonal entry sums
-        its node's edges in reverse edge order, the order in which the CSR
-        product of assemble_H adds them, so H has the same bits.
+        Built from the edges' tail and head nodes in metric_diagonals
+        order (x, y, then z edges).  Each edge's s/l' goes to its (tail,
+        head) pair with a minus sign, and each diagonal entry sums its
+        node's edges in reverse edge order, the order in which a CSR
+        product D S'' (l')^{-1} D^T adds them; kin scales the sum, and
+        V'' U is added on the diagonal last.
         """
-        self._check_assembly_size()
+        self._check_dense_size()
         n = self.grid.n_nodes
         idx = np.arange(n).reshape(self.grid.node_shape)
         tail = np.concatenate([idx[:, :, :-1].reshape(-1),
@@ -304,6 +192,32 @@ class DiscreteOperators:
         np.fill_diagonal(lap, np.bincount(ends, np.repeat(w, 2)[::-1],
                                           minlength=n))
         h = self.constants.kinetic_factor * lap
-        h.reshape(-1)[::n + 1] += self.metrics.v * self.potential.values
+        h.reshape(-1)[::n + 1] += self._uv
+        return h
+
+    def assemble_Hbot(self):
+        """Dense H_bot, nodes x hanging variables: each hanging variable's
+        column holds its face coefficient at its collocated node."""
+        self._check_dense_size()
+        idx = np.arange(self.grid.n_nodes).reshape(self.grid.node_shape)
+        hbot = np.zeros((self.grid.n_nodes, self.n_hanging))
+        for f in FACES:
+            start, stop, _ = self._face_layout[f]
+            hbot[idx[self.face_slices[f]].reshape(-1),
+                 np.arange(start, stop)] = self.face_coeff[f].reshape(-1)
+        return hbot
+
+    def assemble_P(self, dt):
+        """Dense probability matrix P for a given time step."""
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        self._check_dense_size()
+        vmat = np.diag(self.metrics.v)
+        off = -(dt / (2.0 * self.constants.hbar)) * self.assemble_H()
+        return np.block([[vmat, off], [off, vmat]])
+
+    def assemble_sigma_dense(self):
+        """Dense Sigma = (1/hbar) V''^{-1/2} H V''^{-1/2} (small grids)."""
+        h = self.assemble_H()
         vs = self._v_inv_sqrt()
         return (vs[:, None] * h * vs[None, :]) / self.constants.hbar

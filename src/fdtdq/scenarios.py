@@ -701,34 +701,12 @@ def tunneling_mode_fx(spec, mode, region, x):
     raise ValueError(f"unknown region {region!r}")
 
 
-def tunneling_mode_dfx(spec, mode, region, x):
-    """x-derivative of a mode's per-region profile; x local to the region."""
-    x = np.asarray(x, dtype=float)
-    if region == "reactant":
-        return mode.coef_a * mode.k_x * np.cos(mode.k_x * x)
-    if region == "barrier":
-        arg = mode.kappa_x * (x - 0.5 * spec.lx_barrier)
-        return mode.kappa_x * (mode.coef_b * np.sinh(arg)
-                               + mode.coef_c * np.cosh(arg))
-    if region == "product":
-        return mode.coef_d * mode.k_x * np.cos(mode.k_x * (x - spec.lx_product))
-    raise ValueError(f"unknown region {region!r}")
-
-
 def analytic_total_energy(spec, modes=None):
     """Thermally weighted mean mode energy (J)."""
     if modes is None:
         modes = tunneling_modes(spec)
     wsum = sum(abs(md.weight)**2 for md in modes)
     return sum(abs(md.weight)**2 * md.energy for md in modes) / wsum
-
-
-def shortest_mode_period(spec, modes=None):
-    """Period of the fastest mode, 2 pi hbar / max E."""
-    if modes is None:
-        modes = tunneling_modes(spec)
-    return 2.0 * np.pi * spec.constants.hbar / max(md.energy
-                                                   for md in modes)
 
 
 def tunneling_sample(spec, region, grid, dt, t=0.0, modes=None,

@@ -15,9 +15,8 @@ Sigma is a Kronecker sum of three symmetric tridiagonal 1-D matrices
 diagonal joins that axis's matrix, Sigma's eigenvalues are sums of three
 1-D eigenvalues, and rho(Sigma) comes from dense eigensolves of the
 three (m+1) x (m+1) factors.  Any other potential takes a dense symmetric
-eigensolve on small grids and matrix-free Lanczos iteration on large
-ones; a deterministic power
-iteration is kept alongside as an independent cross-check.  The per-cell
+eigensolve on grids of up to DENSE_EIG_MAX_NODES nodes and matrix-free
+Lanczos iteration on larger ones.  The per-cell
 decomposition bounds dt_CFL <= min over cells of dt_CFL,gen(cell)
 <= dt_CFL,gen, with a closed form for the single-cell spectrum under a
 uniform potential.
@@ -48,16 +47,14 @@ T_k's spectrum; a run that reaches its step limit raises StabilityError.
 Everything here runs on numpy alone.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import PhysicalConstants
 from .grid import PotentialField, RegionGrid, boundary_weights
-from .operators import DiscreteOperators
+from .operators import DENSE_EIG_MAX_NODES, DiscreteOperators
 
-DENSE_EIG_MAX_NODES = 4096
 # Step limit of a Lanczos run.  Every check solves T_k densely, so a run
 # that got this far would cost O(k^3) time and O(k^2) memory per check;
 # the shipped scenarios converge in at most a few hundred steps.
@@ -67,10 +64,8 @@ LANCZOS_MAX_STEPS = 2000
 class StabilityError(RuntimeError):
     """Raised when an iterative eigenvalue estimate fails to converge."""
 
-    def __init__(self, message, last_vector=None, last_estimate=None,
-                 residual=None):
+    def __init__(self, message, last_estimate=None, residual=None):
         super().__init__(message)
-        self.last_vector = last_vector
         self.last_estimate = last_estimate
         self.residual = residual
 
@@ -107,58 +102,6 @@ def _grid_seed(grid, salt=0):
             + 7919 * salt)
 
 
-def power_iteration(apply_op, n, seed, tol=1e-13, max_iter=100_000):
-    """Largest-magnitude eigenvalue of a symmetric operator.
-
-    Converges when the eigen-residual ||A v - rq v|| of the unit iterate v
-    and its Rayleigh quotient rq is at most tol |rq|; for a symmetric
-    operator an eigenvalue then lies within tol |rq| of rq.  (Successive
-    quotients can agree long before that on slowly converging spectra.)
-    If the quotient keeps flipping sign (near-degenerate +/- pair),
-    iteration switches to the squared operator.  Returns |lambda|.
-    """
-    v = _lcg_start_vector(n, seed)
-    rq_prev = None
-    residual = None
-    flips = 0
-    squared = False
-    for it in range(max_iter):
-        w = apply_op(v)
-        if squared:
-            w = apply_op(w)
-        rq = float(v @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        residual = float(np.linalg.norm(w - rq * v))
-        if residual <= tol * abs(rq):
-            mag = abs(rq)
-            return float(np.sqrt(mag)) if squared else mag
-        v = w / norm
-        if not squared and rq_prev is not None and rq * rq_prev < 0.0:
-            flips += 1
-            if flips > 50:
-                squared = True
-                rq_prev = None
-                continue
-        rq_prev = rq
-    raise StabilityError(
-        f"power iteration did not converge in {max_iter} iterations",
-        last_vector=v, last_estimate=rq_prev, residual=residual)
-
-
-def spectral_radius_power(ops, tol=1e-13, max_iter=100_000):
-    """rho(Sigma) by deterministic power iteration; retries a second seed."""
-    n = ops.grid.n_nodes
-    try:
-        return power_iteration(ops.apply_sigma, n, _grid_seed(ops.grid),
-                               tol=tol, max_iter=max_iter)
-    except StabilityError:
-        return power_iteration(ops.apply_sigma, n,
-                               _grid_seed(ops.grid, salt=1),
-                               tol=tol, max_iter=max_iter)
-
-
 def _tridiagonal(diag, off):
     """Dense symmetric tridiagonal matrix held in its lower triangle.
 
@@ -178,6 +121,12 @@ def _lanczos_extreme(matvec, start, which, maxiter=LANCZOS_MAX_STEPS):
     The recurrence and its stopping rule are described in the module
     docstring.  Raises StabilityError, with the last estimate and its
     residual, when maxiter steps do not converge.
+
+    The start vector must hold a component of the wanted end's
+    eigenvector that is not tiny: without reorthogonalization or restarts
+    nothing reintroduces a missing one, and from starts holding 1e-10 of
+    it some runs converge to the next eigenvalue instead.  The callers
+    start from the Kronecker mode at the wanted end or from an LCG vector.
     """
     if which not in ("SA", "LA", "LM"):
         raise ValueError(f"unknown end {which!r}")
@@ -269,32 +218,27 @@ def _separable_spectral_radius(ops, axis, profile):
     return float(max(abs(lo), abs(hi)) / ops.constants.hbar)
 
 
-def spectral_radius(ops, method="auto"):
+def spectral_radius(ops):
     """rho(Sigma), the spectral radius of the symmetrized Hamiltonian.
 
-    method "dense" forces a full symmetric eigensolve, "lanczos" the
-    matrix-free route; "auto" sums the extremes of the three 1-D spectra
-    when U varies along at most one axis, and otherwise picks dense up to
-    4096 nodes and Lanczos beyond.
+    Sums the extremes of the three 1-D spectra when U varies along at
+    most one axis; otherwise solves Sigma densely up to
+    DENSE_EIG_MAX_NODES nodes and by Lanczos iteration beyond.
     """
+    separable = _one_axis_potential(ops.potential)
+    if separable is not None:
+        return _separable_spectral_radius(ops, *separable)
     n = ops.grid.n_nodes
-    if method == "auto":
-        separable = _one_axis_potential(ops.potential)
-        if separable is not None:
-            return _separable_spectral_radius(ops, *separable)
-        method = "dense" if n <= DENSE_EIG_MAX_NODES else "lanczos"
-    if method == "dense":
+    if n <= DENSE_EIG_MAX_NODES:
         vals = np.linalg.eigvalsh(ops.assemble_sigma_dense())
         return float(np.max(np.abs(vals)))
-    if method == "lanczos":
-        start = _lcg_start_vector(n, _grid_seed(ops.grid))
-        return abs(_lanczos_extreme(ops.apply_sigma, start, "LM"))
-    raise ValueError(f"unknown method {method!r}")
+    start = _lcg_start_vector(n, _grid_seed(ops.grid))
+    return abs(_lanczos_extreme(ops.apply_sigma, start, "LM"))
 
 
-def cfl_gen_limit(ops, method="auto"):
+def cfl_gen_limit(ops):
     """Generalized time-step limit 2 / rho(Sigma)."""
-    return 2.0 / spectral_radius(ops, method=method)
+    return 2.0 / spectral_radius(ops)
 
 
 def single_cell_sigma_eigvals(dx, dy, dz, u, constants):
@@ -505,9 +449,6 @@ class StabilityReport:
             "ordering_holds": self.ordering_holds,
             "ordering_margin": self.ordering_margin,
         }
-
-    def as_json(self):
-        return json.dumps(self.as_dict(), indent=2)
 
     def as_text(self):
         rows = [

@@ -103,10 +103,6 @@ class BoundaryCondition:
     def all_dirichlet(cls):
         return cls({f: DIRICHLET0 for f in FACES})
 
-    @classmethod
-    def all_neumann(cls):
-        return cls({f: NEUMANN0 for f in FACES})
-
     def pinned_mask(self, grid):
         """Boolean 3D mask of nodes pinned to zero by Dirichlet faces."""
         mask = np.zeros(grid.node_shape, dtype=bool)

@@ -18,6 +18,7 @@ from fdtdq.operators import DiscreteOperators
 from fdtdq.stability import (cfl_gen_limit, cfl_limit, lambda_min_P,
                              per_cell_cfl_gen, single_cell_sigma_eigvals,
                              spectral_radius)
+from references import dense_rho
 
 FS = 1e-15
 AS = 1e-18
@@ -93,7 +94,7 @@ def test_cfl_ordering_randomized_instances():
         pot = PotentialField(grid, u)
         ops = DiscreteOperators(grid, pot, ELECTRON)
         dt_cfl = cfl_limit(grid, pot, ELECTRON)
-        dt_gen = cfl_gen_limit(ops, method="dense")
+        dt_gen = 2.0 / dense_rho(ops)
         assert (dt_gen - dt_cfl) / dt_gen >= -1e-15
 
 
@@ -256,7 +257,7 @@ def test_property_cell_sum_decomposition():
     grid = RegionGrid(3, 2, 2, 0.8e-9, 1.0e-9, 1.2e-9)
     u = 0.5 * EV * rng.uniform(-1.0, 1.0, grid.n_nodes)
     ops = DiscreteOperators(grid, PotentialField(grid, u), ELECTRON)
-    h = ops.assemble_H().toarray()
+    h = ops.assemble_H()
     acc = np.zeros_like(h)
     u3 = u.reshape(grid.node_shape)
     cell = RegionGrid(1, 1, 1, grid.dx, grid.dy, grid.dz)
@@ -269,7 +270,7 @@ def test_property_cell_sum_decomposition():
                      for dk in (0, 1) for dj in (0, 1) for di in (0, 1)])
                 cops = DiscreteOperators(
                     cell, PotentialField(cell, corners), ELECTRON)
-                hc = cops.assemble_H().toarray()
+                hc = cops.assemble_H()
                 idx = [(ii + di) + (jj + dj) * nx1 + (kk + dk) * nx1 * ny1
                        for dk in (0, 1) for dj in (0, 1) for di in (0, 1)]
                 acc[np.ix_(idx, idx)] += hc
@@ -281,7 +282,7 @@ def test_property_positivity_threshold_matches_spectral_limit():
     grid = RegionGrid(3, 3, 2, 1.1e-9, 0.9e-9, 1.3e-9)
     pot = PotentialField(grid, 0.4 * EV * rng.uniform(-1, 1, grid.n_nodes))
     ops = DiscreteOperators(grid, pot, ELECTRON)
-    dt_gen = cfl_gen_limit(ops, method="dense")
+    dt_gen = 2.0 / dense_rho(ops)
     lo, hi = 0.5 * dt_gen, 2.0 * dt_gen
     for _ in range(60):
         mid = 0.5 * (lo + hi)

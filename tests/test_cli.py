@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -370,15 +371,53 @@ def _modules_loaded_by(subcommand, tmp_path, settings, prefixes):
         f"loaded = [m for m in sorted(sys.modules) if m.startswith({prefixes!r})]\n"
         "print('loaded:', ','.join(loaded))\n"
         "sys.exit(code)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, config, str(tmp_path / "out")],
+        capture_output=True, text=True, env=_package_env(), timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def _package_env():
+    """The environment with this package's source first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+# Put ahead of every other finder, this makes `import scipy` and the
+# import of any scipy submodule raise ImportError, as without scipy.
+_NO_SCIPY = (
+    "import sys\n"
+    "class NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'scipy' or name.startswith('scipy.'):\n"
+    "            raise ImportError(f'No module named {name!r}')\n"
+    "sys.meta_path.insert(0, NoScipy())\n"
+    "try:\n"
+    "    import scipy\n"
+    "except ImportError:\n"
+    "    pass\n"
+    "else:\n"
+    "    sys.exit('scipy was imported')\n")
+
+
+def _main_without_scipy(argvs):
+    """Exit codes and printed lines of `fdtdq` main(argv) for each argv,
+    run in turn in one fresh process in which no scipy import succeeds."""
+    script = _NO_SCIPY + (
+        "import json\n"
+        "from fdtdq.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print('codes:', json.dumps(codes))\n")
     proc = subprocess.run(
-        [sys.executable, "-c", script, config, str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    return proc.stdout.splitlines()[-1]
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, env=_package_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    return json.loads(last.removeprefix("codes: ")), lines
 
 
 def test_well_run_loads_no_sparse_or_optimize_scipy(tmp_path):
@@ -405,6 +444,53 @@ def test_cfl_loads_no_scipy(tmp_path, scenario):
     assert _modules_loaded_by(
         "cfl", tmp_path, TINY[scenario], "scipy") == "loaded: "
     assert (tmp_path / "out" / "stability.json").is_file()
+
+
+def test_verify_run_and_cfl_need_no_scipy(tmp_path):
+    argvs = [["verify"]]
+    for scenario, settings in sorted(TINY.items()):
+        config = write_config(tmp_path, settings, f"{scenario}.json")
+        for command in ("run", "cfl"):
+            argvs.append([command, "--config", config,
+                          "--out", str(tmp_path / scenario)])
+    codes, lines = _main_without_scipy(argvs)
+    assert codes == [EXIT_OK] * len(argvs)
+    assert "11/11 checks passed" in lines
+    for scenario in TINY:
+        assert (tmp_path / scenario / "summary.json").is_file()
+        assert (tmp_path / scenario / "stability.json").is_file()
+
+
+def _strict_json(path):
+    """The JSON file at path, read by a parser that refuses the
+    non-standard constants NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def test_cfl_writes_null_for_an_undefined_kappa(tmp_path):
+    # Past the generalized limit P is indefinite, so kappa(P) is infinite.
+    config = write_config(tmp_path, {"scenario": "infinite_well",
+                                     "n_cells": 6, "dt_factor": 1.5})
+    out = tmp_path / "out"
+    assert main(["cfl", "--config", config, "--out", str(out)]) == EXIT_OK
+    report = _strict_json(out / "stability.json")["well"]
+    assert report["P_positive_definite"] is False
+    assert report["kappa_P"] is None
+
+
+@pytest.mark.parametrize("n_t", [0, 1])
+def test_run_writes_null_for_an_undefined_drift(tmp_path, n_t):
+    # H^n exists for 1 <= n <= n_t - 1 only, so a run of at most one step
+    # has no energy to drift and the drift is NaN.
+    config = write_config(tmp_path, {**TINY["tunneling"], "n_t": n_t})
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == EXIT_OK
+    summary = _strict_json(out / "summary.json")
+    assert summary["total_H_max_drift_normalized"] is None
+    assert summary["total_P_max_drift"] is not None
 
 
 @pytest.mark.parametrize("key,settings", [
@@ -553,3 +639,18 @@ def test_package_version_is_read_from_the_package():
     project = read_configuration(pyproject)["project"]
     assert project["version"] == fdtdq.__version__
     assert project["name"] == "artifact"
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_scipy_is_a_test_dependency_only():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = read_configuration(pyproject)["project"]
+
+    def names(requirements):
+        return [re.split(r"[\s<>=!~\[;]", r, maxsplit=1)[0]
+                for r in requirements]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])

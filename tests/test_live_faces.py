@@ -19,6 +19,7 @@ from fdtdq.operators import DiscreteOperators
 from fdtdq.stability import cfl_limit
 from fdtdq.stepper import (DIRICHLET0, NEUMANN0, PRESCRIBED,
                            BoundaryCondition, StaggeredState, run, step)
+from references import join_hanging, split_hanging
 
 
 @st.composite
@@ -71,13 +72,13 @@ def full_hanging(ops, bc, t, part):
             source = complex(bc.sources[f](f, t))
             value = source.real if part == "real" else source.imag
         by_face[f] = np.full(ops.grid.face_shape(f), value)
-    return ops.join_hanging(by_face)
+    return join_hanging(ops, by_face)
 
 
 def full_hbot(ops, b):
     """H_bot b scattered over all six faces."""
     out = np.zeros(ops.grid.node_shape)
-    by_face = ops.split_hanging(b)
+    by_face = split_hanging(ops, b)
     for f in FACES:
         out[face_node_slices(ops.grid, f)] += ops.face_coeff[f] * by_face[f]
     return out.reshape(-1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 from fdtdq.constants import ELECTRON, PhysicalConstants
 from fdtdq.grid import (FACES, RegionGrid, PotentialField, boundary_weights,
                         metric_diagonals)
-from fdtdq.operators import (DiscreteOperators, MAX_ASSEMBLY_NODES,
-                             build_boundary_L, build_incidence_D)
+from fdtdq.operators import DENSE_EIG_MAX_NODES, DiscreteOperators
+from references import (boundary_L, incidence_D, join_hanging, sparse_H,
+                        sparse_Hbot, split_hanging)
 
 RNG = np.random.default_rng(20260823)
 
@@ -29,8 +32,8 @@ def rel(a, b):
 
 def test_incidence_columns_sum_to_zero():
     grid = RegionGrid(3, 2, 4, 1e-9, 1e-9, 1e-9)
-    d = build_incidence_D(grid)
-    assert d.shape == (grid.n_nodes, grid.n_edges)
+    d = incidence_D(grid)
+    assert d.shape == (grid.n_nodes, sum(grid.edge_counts))
     col_sums = np.asarray(d.sum(axis=0)).reshape(-1)
     assert np.all(col_sums == 0.0)
     dense = d.toarray()
@@ -40,7 +43,7 @@ def test_incidence_columns_sum_to_zero():
 
 def test_boundary_L_columns_are_unit_basis_vectors():
     grid = RegionGrid(3, 2, 4, 1e-9, 1e-9, 1e-9)
-    ell = build_boundary_L(grid)
+    ell = boundary_L(grid)
     assert ell.shape == (grid.n_nodes, grid.n_hanging)
     dense = ell.toarray()
     assert np.all(np.sum(dense, axis=0) == 1.0)
@@ -70,8 +73,23 @@ def test_matrix_free_H_matches_assembled(seed):
 def test_assembled_H_is_exactly_symmetric():
     ops = make_ops(seed=7)
     h = ops.assemble_H()
-    diff = (h - h.T).tocoo()
-    assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+    assert np.array_equal(h, h.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.tuples(*[st.integers(1, 5)] * 3),
+       spacing=st.tuples(*[st.floats(0.3e-9, 3e-9)] * 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_assembled_operators_equal_the_kronecker_reference(cells, spacing,
+                                                           seed):
+    # The dense edge scatter sums each diagonal entry in the order of the
+    # CSR product D S'' (l')^{-1} D^T, so H has the same bits.
+    grid = RegionGrid(*cells, *spacing)
+    rng = np.random.default_rng(seed)
+    u = 1.6e-19 * rng.uniform(-1.0, 1.0, grid.n_nodes)
+    ops = DiscreteOperators(grid, PotentialField(grid, u), ELECTRON)
+    assert np.array_equal(ops.assemble_H(), sparse_H(ops).toarray())
+    assert np.array_equal(ops.assemble_Hbot(), sparse_Hbot(ops).toarray())
 
 
 def test_matrix_free_Hbot_matches_assembled():
@@ -80,18 +98,6 @@ def test_matrix_free_Hbot_matches_assembled():
     rng = np.random.default_rng(11)
     b = rng.standard_normal(ops.grid.n_hanging)
     assert rel(ops.apply_Hbot(b), hb @ b) <= 1e-14
-    v = rng.standard_normal(ops.grid.n_nodes)
-    assert rel(ops.apply_Hbot_T(v), hb.T @ v) <= 1e-14
-
-
-def test_Hbot_transpose_adjoint_identity():
-    ops = make_ops(seed=5)
-    rng = np.random.default_rng(13)
-    v = rng.standard_normal(ops.grid.n_nodes)
-    b = rng.standard_normal(ops.grid.n_hanging)
-    lhs = float(v @ ops.apply_Hbot(b))
-    rhs = float(ops.apply_Hbot_T(v) @ b)
-    assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def stencil_3d_H(ops, v):
@@ -160,7 +166,7 @@ def test_sigma_similarity_with_dense_assembly():
     assert rel(ops.apply_sigma(v), sig @ v) <= 1e-13
     # Sigma shares its spectrum with (1/hbar) V''^{-1} H.
     m = metric_diagonals(ops.grid)
-    gen = (ops.assemble_H().toarray() / m.v[:, None]) / ops.constants.hbar
+    gen = (ops.assemble_H() / m.v[:, None]) / ops.constants.hbar
     assert rel(np.sort(np.linalg.eigvalsh(sig)),
                np.sort(np.linalg.eigvals(gen).real)) <= 1e-10
 
@@ -168,11 +174,11 @@ def test_sigma_similarity_with_dense_assembly():
 def test_P_matrix_blocks(tmp_path):
     ops = make_ops(seed=2)
     dt = 1e-18
-    p = ops.assemble_P(dt).toarray()
+    p = ops.assemble_P(dt)
     n = ops.grid.n_nodes
     m = metric_diagonals(ops.grid)
     c = dt / (2.0 * ops.constants.hbar)
-    h = ops.assemble_H().toarray()
+    h = ops.assemble_H()
     assert np.array_equal(p[:n, :n], np.diag(m.v))
     assert np.array_equal(p[n:, n:], np.diag(m.v))
     assert rel(p[:n, n:], -c * h) == 0.0
@@ -182,11 +188,22 @@ def test_P_matrix_blocks(tmp_path):
 
 
 def test_assembly_size_guard():
-    grid = RegionGrid(99, 99, 99, 1e-9, 1e-9, 1e-9)
-    assert grid.n_nodes > MAX_ASSEMBLY_NODES
+    # Two nodes over the limit: every dense assembly refuses before it
+    # allocates a matrix (one N x N float64 matrix would take 134 MB).
+    grid = RegionGrid(682, 2, 1, 1e-9, 1e-9, 1e-9)
+    assert grid.n_nodes == DENSE_EIG_MAX_NODES + 2
     ops = DiscreteOperators(grid, PotentialField.uniform(grid), ELECTRON)
-    with pytest.raises(ValueError):
-        ops.assemble_H()
+    tracemalloc.start()
+    try:
+        for assemble in (ops.assemble_H, ops.assemble_Hbot,
+                         ops.assemble_sigma_dense,
+                         lambda: ops.assemble_P(1e-18)):
+            with pytest.raises(ValueError, match="refusing"):
+                assemble()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_vector_length_checks():
@@ -195,15 +212,13 @@ def test_vector_length_checks():
         ops.apply_H(np.zeros(3))
     with pytest.raises(ValueError):
         ops.apply_Hbot(np.zeros(3))
-    with pytest.raises(ValueError):
-        ops.apply_Hbot_T(np.zeros(3))
 
 
 def test_split_join_hanging_roundtrip():
     ops = make_ops()
     rng = np.random.default_rng(23)
     b = rng.standard_normal(ops.grid.n_hanging)
-    assert np.array_equal(ops.join_hanging(ops.split_hanging(b)), b)
+    assert np.array_equal(join_hanging(ops, split_hanging(ops, b)), b)
     assert np.array_equal(ops.zero_hanging(), np.zeros(ops.grid.n_hanging))
 
 

