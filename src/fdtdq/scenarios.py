@@ -14,6 +14,7 @@ staggered state and time step, and supplies analytic reference
 observables where available.
 """
 
+import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -367,31 +368,44 @@ def _barrier_midpoints(spec, intervals):
     return (np.arange(intervals) + 0.5) * h, h
 
 
-def analytic_region_probability(spec, times, intervals=1000,
-                                chunk=256):
+def analytic_region_probability(spec, times, intervals=1000):
     """Midpoint Riemann sum of |psi|^2 over the region, per time."""
-    return _barrier_region_sums(spec, times, intervals, chunk)[0].copy()
+    return _barrier_region_sums(spec, times, intervals)[0].copy()
 
 
-def analytic_region_energy(spec, times, intervals=1000, chunk=256):
+def analytic_region_energy(spec, times, intervals=1000):
     """Midpoint Riemann sum of the energy density over the region.
 
     Density: (hbar^2 / 2m) |dpsi/dx|^2 + U |psi|^2 (transverse gradients
     vanish).
     """
-    return _barrier_region_sums(spec, times, intervals, chunk)[1].copy()
+    return _barrier_region_sums(spec, times, intervals)[1].copy()
 
 
-def _barrier_region_sums(spec, times, intervals, chunk):
+# Times per reference GEMM and per worker's piece of it, positions per block
+# of a spatial matrix, and the most workers (their temporaries stay below one
+# spatial matrix).  A row's GEMM bits are the same in any call of two or more
+# rows but not in a one-row call, so pieces split the chunks along time, and
+# a last row is left alone only where it was alone in its chunk.
+_CHUNK, _PIECE, _BLOCK, _WORKERS = 256, 128, 50, 3
+
+
+def _workers(pieces):
+    """Reference threads: one per CPU this process may run on, capped."""
+    return max(1, min(len(os.sched_getaffinity(0)), pieces, _WORKERS))
+
+
+def _barrier_region_sums(spec, times, intervals):
     """(probability, energy) per time, from one pass over the modes.
 
     Both sums share the |psi|^2 samples, so psi's spatial matrix is built
-    and applied once and freed before the gradient's is built.  The last
-    result is kept on the spec, which is frozen, so the second of the two
-    public calls on the same times is free.
+    and applied once and freed before the gradient's is built; pieces of
+    times run on threads, each writing only its own rows.  The last result
+    is kept on the frozen spec, so a second call on the same times is free.
     """
+    from concurrent.futures import ThreadPoolExecutor
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    key = (times.tobytes(), times.shape, intervals, chunk)
+    key = (times.tobytes(), times.shape, intervals)
     memo = spec.__dict__.get("_region_sums")
     if memo is not None and memo[0] == key:
         return memo[1]
@@ -400,45 +414,51 @@ def _barrier_region_sums(spec, times, intervals, chunk):
                  np.where(xm == spec.a, 0.5 * spec.u0, spec.u0))
     kin = spec.constants.kinetic_factor
     area = spec.cross_section()
-    chunks = [slice(s, s + chunk) for s in range(0, times.size, chunk)]
+    cuts = [c for c in range(0, times.size, _PIECE)
+            if c % _CHUNK == 0 or c != times.size - 1] + [times.size]
+    pieces = list(map(slice, cuts, cuts[1:]))
 
     def mode_sums(phi, c):  # psi (or its gradient) at times[c]
         w = spec.amps[None, :] * np.exp(-1j * np.outer(times[c], spec.omega))
         return w @ phi.T
 
-    prob = np.empty(times.shape)
-    energy = np.empty(times.shape)
-    phi = _barrier_spatial_matrix(spec, xm, derivative=False)
-    pot = []
-    for c in chunks:
+    prob, energy = np.empty(times.shape), np.empty(times.shape)
+    pot = np.empty((times.size, xm.size))
+
+    def probability(c):
         sq = np.abs(mode_sums(phi, c))**2
         prob[c] = area * h * np.sum(sq, axis=1)
-        sq *= u[None, :]
-        pot.append(sq)
-    del phi
-    phi_g = _barrier_spatial_matrix(spec, xm, derivative=True)
-    for c, dens in zip(chunks, pot):
-        grad = np.abs(mode_sums(phi_g, c))**2
-        grad *= kin
-        dens += grad
-        energy[c] = area * h * np.sum(dens, axis=1)
+        pot[c] = sq * u[None, :]
+
+    def kinetic(c):
+        pot[c] += kin * np.abs(mode_sums(phi, c))**2
+        energy[c] = area * h * np.sum(pot[c], axis=1)
+
+    with ThreadPoolExecutor(_workers(len(pieces))) as pool:
+        phi = _barrier_spatial_matrix(spec, xm, False, pool.map)
+        list(pool.map(probability, pieces))
+        del phi
+        phi = _barrier_spatial_matrix(spec, xm, True, pool.map)
+        list(pool.map(kinetic, pieces))
     spec.__dict__["_region_sums"] = (key, (prob, energy))
     return prob, energy
 
 
-def _barrier_spatial_matrix(spec, x, derivative):
-    """Per-mode spatial factors at positions x, shape (len(x), n_modes)."""
-    x = np.asarray(x, dtype=float)
+def _barrier_spatial_matrix(spec, x, derivative, map_blocks):
+    """Per-mode factors at positions x, (len(x), n_modes), by blocks of x."""
     phi = np.empty((x.size, spec.k.size), dtype=complex)
-    left = x <= spec.a
-    inc, ref = _barrier_incident(spec, x[left], derivative)
-    ref *= spec.R[None, :]
-    ref += inc
-    phi[left] = ref
-    del inc, ref
-    tran, coef = _barrier_transmitted(spec, x[~left], derivative)
-    tran *= coef[None, :]
-    phi[~left] = tran
+
+    def fill(rows):
+        left = x[rows] <= spec.a
+        inc, ref = _barrier_incident(spec, x[rows][left], derivative)
+        ref *= spec.R[None, :]
+        ref += inc
+        phi[rows][left] = ref
+        tran, coef = _barrier_transmitted(spec, x[rows][~left], derivative)
+        tran *= coef[None, :]
+        phi[rows][~left] = tran
+    list(map_blocks(fill, [slice(s, s + _BLOCK)
+                           for s in range(0, x.size, _BLOCK)]))
     return phi
 
 

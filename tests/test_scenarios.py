@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -220,6 +221,40 @@ def test_one_pass_references_are_bit_identical_to_two_passes():
     h_tail = sc.analytic_region_energy(spec, times[257:])
     assert h_tail.tobytes() == _two_pass_references(
         spec, times[257:])[1].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 65, 129, 130, 255, 257, 300, 1001])
+def test_threaded_references_keep_the_bits_of_one_call_per_chunk(
+        n, monkeypatch):
+    # 129 and 257 times end in a one-row remainder of 128-row pieces; only
+    # at 257 is it a chunk of its own, and so a one-row GEMM, at 256 rows
+    # per chunk.  At 130 a piece has two rows.
+    times = np.linspace(0.0, sc.GaussianBarrierSpec().horizon, n)
+    prob, energy = _two_pass_references(sc.GaussianBarrierSpec(), times)
+    for workers in (1, 3):
+        monkeypatch.setattr(sc, "_workers", lambda pieces: workers)
+        spec = sc.GaussianBarrierSpec()  # no result kept from the last pass
+        p = sc.analytic_region_probability(spec, times)
+        h = sc.analytic_region_energy(spec, times)
+        assert p.tobytes() == prob.tobytes(), workers
+        assert h.tobytes() == energy.tobytes(), workers
+
+
+def test_reference_pass_peak_memory(monkeypatch):
+    # One spatial matrix of 1 000 positions x 2 001 modes is 32 MB and the
+    # potential-energy rows 8 MB; the rest is the workers' pieces (about
+    # 8 MB each) and blocks.  Full-size temporaries in the matrix build
+    # peaked at 80 MB.
+    spec = sc.GaussianBarrierSpec()
+    times = np.arange(1001) * spec.time_step()
+    monkeypatch.setattr(sc, "_workers", lambda pieces: min(2, pieces))
+    tracemalloc.start()
+    try:
+        sc.analytic_region_probability(spec, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
 
 
 def test_barrier_sources_sample_analytic_gradient(barrier_spec):
