@@ -47,17 +47,17 @@ CSV_COLUMNS = ("n", "t_seconds", "P", "P_simple",
 
 
 @contextmanager
-def atomic_open(path, newline=None):
-    """Open path for writing text through a temporary file next to it.
+def atomic_open(path, mode="w", newline=None):
+    """Open path for writing (mode "w" or "wb") through a temporary file.
 
-    The temporary file replaces path (os.replace) only when the block
-    completes; if the block raises, it is removed and path is left as it
-    was, so a reader never sees a partial file.
+    The temporary file, next to path, replaces it (os.replace) only when
+    the block completes; if the block raises, it is removed and path is
+    left as it was, so a reader never sees a partial file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -219,66 +219,25 @@ def _exp_i(a):
     return np.exp(z, out=z)
 
 
-def _barrier_incident(spec, xl, derivative):
-    """Incident and reflected per-mode factors at positions xl <= a."""
-    inc = _exp_i(np.outer(xl - spec.x0, spec.k))
-    ref = _exp_i(np.outer(2.0 * spec.a - spec.x0 - xl, spec.k))
-    if derivative:
-        inc *= 1j * spec.k
-        ref *= -1j * spec.k
-    return inc, ref
-
-
-def _barrier_transmitted(spec, xr, derivative):
-    """Transmitted per-mode factors at positions xr > a, and the mode
-    coefficients T exp(i k (a - x0)) they carry."""
-    tran = _exp_i(np.outer(xr - spec.a, spec.K))
-    if derivative:
-        tran *= 1j * spec.K
-    return tran, spec.T * np.exp(1j * spec.k * (spec.a - spec.x0))
-
-
-def _barrier_factors(spec, x, derivative):
-    """(left, inc, ref, tran, coef) at positions x; left masks x <= a."""
-    left = x <= spec.a
-    return (left, *_barrier_incident(spec, x[left], derivative),
-            *_barrier_transmitted(spec, x[~left], derivative))
-
-
-def _barrier_sum(spec, factors, weights):
-    """Mode sum at one time from _barrier_factors and the time weights."""
-    left, inc, ref, tran, coef = factors
-    out = np.empty(left.shape, dtype=complex)
-    out[left] = inc @ weights + ref @ (spec.R * weights)
-    out[~left] = tran @ (coef * weights)
-    return out
+def _barrier_weights(spec, times):
+    """Mode weights amps exp(-i omega t), one row per time."""
+    w = _exp_i(np.outer(times, -spec.omega))
+    w *= spec.amps
+    return w
 
 
 def _barrier_eval(spec, x, t, derivative):
     """Analytic wavepacket (or its x-derivative) at positions x.
 
     t is one time, giving shape (len(x),), or an array of times, giving
-    (len(t), len(x)).  With an array of times the spatial factors are
-    built once per position and each value is summed on its own, so it is
-    bitwise equal to the single-position, single-time call; one time sums
-    all positions in a single product per side of the step.  The weights
-    amps exp(-i omega t) are formed time by time with the single-time
-    expression; one exponential over all times measured slower, as its
-    block-sized temporaries cost more than the per-time calls.
+    (len(t), len(x)).  Either way the values are one product, the times'
+    weights times the positions' transposed spatial matrix, so a value of
+    a one-time call agrees with a multi-time one to roundoff (see _CHUNK).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.ndim(t) == 0:
-        weights = spec.amps * np.exp(-1j * spec.omega * t)
-        return _barrier_sum(spec, _barrier_factors(spec, x, derivative),
-                            weights)
-    factors = [_barrier_factors(spec, x[j:j + 1], derivative)
-               for j in range(x.size)]
-    out = np.empty((len(t), x.size), dtype=complex)
-    for i, ti in enumerate(t):
-        weights = spec.amps * np.exp(-1j * spec.omega * ti)
-        for j, f in enumerate(factors):
-            out[i, j] = _barrier_sum(spec, f, weights)[0]
-    return out
+    phi = _barrier_spatial_matrix(spec, x, derivative)
+    values = _barrier_weights(spec, np.atleast_1d(t)) @ phi.T
+    return values[0] if np.ndim(t) == 0 else values
 
 
 def barrier_wavefunction(spec, x, t):
@@ -302,9 +261,9 @@ class BarrierDrive:
     step time n dt or (n + 1/2) dt that it does not hold, it evaluates both
     faces at the integer and half-step times of SOURCE_BLOCK_STEPS steps
     from n in one barrier_gradient_x call.  Those times are formed exactly
-    as the steppers form them, so their later lookups hit; any other t is
-    evaluated directly.  Every value is bitwise equal to
-    barrier_gradient_x(spec, x_face, t)[0].
+    as the steppers form them, so their later lookups hit and return the
+    block call's bits; any other t is evaluated directly, in a one-time call
+    that agrees with a block's value only to roundoff (see _CHUNK).
     """
 
     def __init__(self, spec, dt):
@@ -355,8 +314,7 @@ def barrier_sample(spec, grid, dt, t=0.0):
     """Sampled analytic state (psi_R at t, psi_I at t - dt/2)."""
     x, _, _ = grid.node_coordinates()
     shape = grid.node_shape
-    line_r = barrier_wavefunction(spec, x, t)
-    line_i = barrier_wavefunction(spec, x, t - 0.5 * dt)
+    line_r, line_i = barrier_wavefunction(spec, x, [t, t - 0.5 * dt])
     psi_r = np.broadcast_to(line_r.real[None, None, :], shape)
     psi_i = np.broadcast_to(line_i.imag[None, None, :], shape)
     return (np.ascontiguousarray(psi_r).reshape(-1),
@@ -385,8 +343,9 @@ def analytic_region_energy(spec, times, intervals=1000):
 # Times per reference GEMM and per worker's piece of it, positions per block
 # of a spatial matrix, and the most workers (their temporaries stay below one
 # spatial matrix).  A row's GEMM bits are the same in any call of two or more
-# rows but not in a one-row call, so pieces split the chunks along time, and
-# a last row is left alone only where it was alone in its chunk.
+# rows but not in a one-row call (so too in the sources' blocks against a
+# one-time _barrier_eval), so pieces split the chunks along time, and a last
+# row is left alone only where it was alone in its chunk.
 _CHUNK, _PIECE, _BLOCK, _WORKERS = 256, 128, 50, 3
 
 
@@ -419,8 +378,7 @@ def _barrier_region_sums(spec, times, intervals):
     pieces = list(map(slice, cuts, cuts[1:]))
 
     def mode_sums(phi, c):  # psi (or its gradient) at times[c]
-        w = spec.amps[None, :] * np.exp(-1j * np.outer(times[c], spec.omega))
-        return w @ phi.T
+        return _barrier_weights(spec, times[c]) @ phi.T
 
     prob, energy = np.empty(times.shape), np.empty(times.shape)
     pot = np.empty((times.size, xm.size))
@@ -444,18 +402,30 @@ def _barrier_region_sums(spec, times, intervals):
     return prob, energy
 
 
-def _barrier_spatial_matrix(spec, x, derivative, map_blocks):
-    """Per-mode factors at positions x, (len(x), n_modes), by blocks of x."""
+def _barrier_spatial_matrix(spec, x, derivative, map_blocks=map):
+    """Per-mode factors at positions x, (len(x), n_modes), by blocks of x.
+
+    Left of the step (x <= a) a mode is its incident wave plus R times its
+    reflected wave; right of it, its transmitted wave times the coefficient
+    T exp(i k (a - x0)).
+    """
     phi = np.empty((x.size, spec.k.size), dtype=complex)
+    coef = spec.T * np.exp(1j * spec.k * (spec.a - spec.x0))
 
     def fill(rows):
         left = x[rows] <= spec.a
-        inc, ref = _barrier_incident(spec, x[rows][left], derivative)
-        ref *= spec.R[None, :]
+        xl, xr = x[rows][left], x[rows][~left]
+        inc = _exp_i(np.outer(xl - spec.x0, spec.k))
+        ref = _exp_i(np.outer(2.0 * spec.a - spec.x0 - xl, spec.k))
+        tran = _exp_i(np.outer(xr - spec.a, spec.K))
+        if derivative:
+            inc *= 1j * spec.k
+            ref *= -1j * spec.k
+            tran *= 1j * spec.K
+        ref *= spec.R
         ref += inc
         phi[rows][left] = ref
-        tran, coef = _barrier_transmitted(spec, x[rows][~left], derivative)
-        tran *= coef[None, :]
+        tran *= coef
         phi[rows][~left] = tran
     list(map_blocks(fill, [slice(s, s + _BLOCK)
                            for s in range(0, x.size, _BLOCK)]))

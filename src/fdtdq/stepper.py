@@ -30,6 +30,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .diagnostics import atomic_open
 from .grid import FACE_AXIS, FACES, face_node_slices
 from .operators import DiscreteOperators
 
@@ -430,15 +431,14 @@ def run(state0, ops, boundary, dt, n_t, observers=(), guard_factor=1e6,
 
 
 def save_checkpoint(path, state):
-    """Write a binary checkpoint with an exact float64 round-trip."""
-    np.savez(path,
-             n=np.int64(state.n), psiR=state.psiR, psiI=state.psiI,
-             psiR_prev=state.psiR_prev
-             if state.psiR_prev is not None else np.empty(0),
-             gradR_prev=state.gradR_prev
-             if state.gradR_prev is not None else np.empty(0),
-             gradI_prev=state.gradI_prev
-             if state.gradI_prev is not None else np.empty(0))
+    """Write a binary checkpoint with an exact float64 round-trip, through
+    atomic_open, so a failed write leaves an earlier file at path intact."""
+    opt = {key: np.empty(0) if value is None else value for key, value in (
+        ("psiR_prev", state.psiR_prev), ("gradR_prev", state.gradR_prev),
+        ("gradI_prev", state.gradI_prev))}
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, n=np.int64(state.n), psiR=state.psiR, psiI=state.psiI,
+                 **opt)
 
 
 def load_checkpoint(path):

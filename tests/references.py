@@ -20,6 +20,9 @@ the tests that compare the two:
 - energy_lower_bound: the a priori lower bound on H^n from lambda_min(P).
 - tunneling_mode_dfx: the x-derivative of a tunneling mode profile, for
   the C^1 continuity of the analytic modes across the interfaces.
+- barrier_mode_sum: the step wavepacket at one position and time, summed
+  mode by mode per wave, against the weights-times-spatial-matrix product
+  of barrier_wavefunction and barrier_gradient_x.
 """
 
 import numpy as np
@@ -173,3 +176,26 @@ def tunneling_mode_dfx(spec, mode, region, x):
         return mode.kappa_x * (mode.coef_b * np.sinh(arg)
                                + mode.coef_c * np.cosh(arg))
     return mode.coef_d * mode.k_x * np.cos(mode.k_x * (x - spec.lx_product))
+
+
+def barrier_mode_sum(spec, x, t, derivative):
+    """The step wavepacket (or its x-derivative) at one x and t, and the
+    scale of its roundoff, sum_k |w_k phi_k(x)|.
+
+    Left of the step: inc @ w + ref @ (R w); right of it: tran @ (coef w),
+    with the weights w = amps exp(-i omega t) and one factor per mode.
+    """
+    k = spec.k
+    w = spec.amps * np.exp(-1j * spec.omega * t)
+    if x <= spec.a:
+        inc = np.exp(1j * k * (x - spec.x0))
+        ref = np.exp(1j * k * (2.0 * spec.a - spec.x0 - x))
+        if derivative:
+            inc, ref = inc * (1j * k), ref * (-1j * k)
+        return inc @ w + ref @ (spec.R * w), np.sum(
+            np.abs(w * (inc + spec.R * ref)))
+    tran = np.exp(1j * spec.K * (x - spec.a))
+    if derivative:
+        tran = tran * (1j * spec.K)
+    coef = spec.T * np.exp(1j * k * (spec.a - spec.x0))
+    return tran @ (coef * w), np.sum(np.abs(coef * w * tran))

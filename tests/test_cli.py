@@ -277,18 +277,19 @@ def test_run_checkpoints_written(tmp_path):
     assert state.n == 10
 
 
-def test_run_csv_byte_identical(tmp_path):
-    config = write_config(tmp_path, {
-        "scenario": "infinite_well", "n_cells": 6, "n_t": 30,
-    })
+@pytest.mark.parametrize("scenario", sorted(TINY))
+def test_run_csv_byte_identical(tmp_path, scenario):
+    config = write_config(tmp_path, TINY[scenario])
     outs = []
     for tag in ("r1", "r2"):
         out = tmp_path / tag
         assert main(["run", "--config", config,
                      "--out", str(out)]) == EXIT_OK
         outs.append(out)
-    assert (outs[0] / "well.csv").read_bytes() \
-        == (outs[1] / "well.csv").read_bytes()
+    csvs = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert csvs == sorted(p.name for p in outs[1].glob("*.csv")) and csvs
+    for name in csvs:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_run_tunneling_short(tmp_path):
@@ -311,6 +312,30 @@ def test_run_barrier_short(tmp_path):
     assert summary["scenario"] == "barrier"
     assert summary["max_analytic_P"] > 0.0
     assert (out / "barrier.csv").exists()
+
+
+def test_barrier_run_evaluates_sources_once_per_block(tmp_path,
+                                                      monkeypatch):
+    # The bench times the barrier's sources by wrapping
+    # scenarios.barrier_gradient_x, so a run must reach the drive's block
+    # evaluations through that module attribute: 130 steps, three blocks.
+    calls = []
+    direct = sc.barrier_gradient_x
+
+    def counted(*args):
+        calls.append(args[2])
+        return direct(*args)
+
+    monkeypatch.setattr(sc, "barrier_gradient_x", counted)
+    config = write_config(tmp_path, {"scenario": "barrier", "x0": 0.0,
+                                     "n_t": 130})
+    assert main(["run", "--config", config,
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    block = sc.SOURCE_BLOCK_STEPS
+    assert len(calls) == -(-130 // block) == 3
+    dt = json.loads((tmp_path / "out" / "summary.json").read_text())[
+        "dt_seconds"]
+    assert [t[0] for t in calls] == [n * block * dt for n in range(3)]
 
 
 def test_cfl_report(tmp_path, capsys):

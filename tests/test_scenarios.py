@@ -11,7 +11,7 @@ from fdtdq.constants import EV, BOLTZMANN
 from fdtdq.diagnostics import total_probability
 from fdtdq.grid import FACES, face_node_slices
 from fdtdq.operators import DiscreteOperators
-from references import tunneling_mode_dfx
+from references import barrier_mode_sum, tunneling_mode_dfx
 
 
 # ---------------------------------------------------------------------------
@@ -270,35 +270,41 @@ def bits(values):
     return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
 
 
-def test_barrier_array_times_match_single_calls(barrier_spec):
-    # Several positions on each side of the step: every value of the
-    # time table must carry the bits of the single-position, single-time
-    # call, whatever the other positions are.
+def test_barrier_tables_match_the_per_mode_sum(barrier_spec):
+    # Several positions on each side of the step, one time or a table of
+    # times: every value is the mode-by-mode sum up to roundoff of the
+    # terms it adds, whatever the other positions and times are.
     g = barrier_spec
     x = np.array([0.0, 40e-9, g.a, 150e-9, g.lx])
     times = np.array([0.0, 3.3e-13, 1e-12, 2.5e-12])
-    for fn in (sc.barrier_gradient_x, sc.barrier_wavefunction):
+    for derivative, fn in ((True, sc.barrier_gradient_x),
+                           (False, sc.barrier_wavefunction)):
         table = fn(g, x, times)
         assert table.shape == (times.size, x.size)
         for i, t in enumerate(times):
+            row = fn(g, x, t)
+            assert row.shape == x.shape
             for j, xj in enumerate(x):
-                assert np.array_equal(bits(table[i, j]), bits(fn(g, xj, t)))
+                ref, scale = barrier_mode_sum(g, xj, t, derivative)
+                assert abs(table[i, j] - ref) <= 1e-14 * scale
+                assert abs(row[j] - ref) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("n0", [0, 101])
-def test_barrier_drive_is_bitwise_and_fills_per_block(barrier_spec,
-                                                      monkeypatch, n0):
+def test_barrier_drive_returns_its_block_call_and_fills_per_block(
+        barrier_spec, monkeypatch, n0):
     # Step times in stepper order over more than two blocks; a first ask at
-    # n0 > 0 is what a resumed run does.  Every value equals the direct
-    # call, and the drive calls barrier_gradient_x once per block.
+    # n0 > 0 is what a resumed run does.  Every value is the entry of the
+    # drive's block call, a repeat ask gives the same bits, and the drive
+    # calls barrier_gradient_x once per block.
     g = barrier_spec
     dt = g.time_step()
     direct = sc.barrier_gradient_x
     calls = []
 
     def counted(*args):
-        calls.append(args)
-        return direct(*args)
+        calls.append((args, direct(*args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(sc, "barrier_gradient_x", counted)
     sources = sc.barrier_sources(g, dt)
@@ -307,11 +313,17 @@ def test_barrier_drive_is_bitwise_and_fills_per_block(barrier_spec,
     n_steps = 2 * sc.SOURCE_BLOCK_STEPS + 3
     for n in range(n0, n0 + n_steps):
         for t in (n * dt, (n + 0.5) * dt):
-            for face, x in (("W", 0.0), ("E", g.lx)):
-                assert np.array_equal(bits(drive(face, t)),
-                                      bits(direct(g, x, t)))
+            for col, face in enumerate(("W", "E")):
+                value = drive(face, t)
+                (_, x, times), table = calls[-1]
+                assert list(x) == [0.0, g.lx]
+                expected = table[list(times).index(t), col]
+                assert np.array_equal(bits(value), bits(expected))
+                assert np.array_equal(bits(drive(face, t)), bits(value))
     assert len(calls) == 3
-    assert calls[0][2][0] == n0 * dt
+    assert calls[0][0][2][0] == n0 * dt
+    (_, x, times), table = calls[-1]
+    assert np.array_equal(bits(direct(g, x, times)), bits(table))
 
     # An off-grid time is evaluated directly and leaves the table alone.
     t = (n0 + 0.25) * dt

@@ -192,6 +192,25 @@ def test_fresh_checkpoint_roundtrips_none_fields(tmp_path):
     assert loaded.gradI_prev is None
 
 
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path,
+                                                       monkeypatch):
+    ops = make_ops()
+    first, second = random_state(ops, seed=7), random_state(ops, seed=8)
+    path = tmp_path / "checkpoint_00000001.npz"
+    save_checkpoint(path, first)
+    savez = np.savez
+
+    def interrupted(file, **arrays):
+        savez(file, **arrays)  # a full archive, then a failure
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", interrupted)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, second)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert np.array_equal(load_checkpoint(path).psiR, first.psiR)
+
+
 def test_run_zero_steps():
     ops = make_ops()
     state = random_state(ops, seed=7)
