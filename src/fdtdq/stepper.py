@@ -24,6 +24,7 @@ and each region recovers its interface hanging variables from its own
 update equation, so every balance holds region by region.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -166,6 +167,9 @@ class StepWindow:
     gradI_np: np.ndarray     # gradI^{n+1/2}
     h_psiR_n: np.ndarray     # H psi_R^n
     h_psiI_np: np.ndarray    # H psi_I^{n+1/2}
+    # Largest |psi| over psiR_np1 and psiI_np, as leapfrog measures it;
+    # a window built without it reads inf, which trips drive's guard.
+    largest: float = math.inf
 
 
 @dataclass
@@ -267,7 +271,8 @@ def leapfrog(parts, interfaces, dt):
     region names to (ops, boundary, state, pinned), pinned being the
     region's PinnedNodes; interfaces lists coupling.Interface objects, and
     all states are at the same step.  No state is modified.  Returns
-    name -> (new state, StepWindow).
+    name -> (new state, StepWindow); a new vector of any region with a
+    non-finite sample raises DivergenceError(n + 1, inf) instead.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -282,14 +287,14 @@ def leapfrog(parts, interfaces, dt):
                                         psi_r)
     out = {}
     for name in parts:
-        if not (np.isfinite(psi_r_new[name]).all()
-                and np.isfinite(psi_i_new[name]).all()):
-            raise DivergenceError(n + 1, float("inf"))
+        largest = _largest((psi_r_new[name], psi_i_new[name]))
+        if largest == math.inf:
+            raise DivergenceError(n + 1, largest)
         window = StepWindow(
             n=n, psiR_n=psi_r[name], psiR_np1=psi_r_new[name],
             psiI_nm=psi_i[name], psiI_np=psi_i_new[name],
             gradR_n=grad_r[name], gradI_np=grad_i[name],
-            h_psiR_n=h_r[name], h_psiI_np=h_i[name])
+            h_psiR_n=h_r[name], h_psiI_np=h_i[name], largest=largest)
         state = StaggeredState(
             psiR=psi_r_new[name], psiI=psi_i_new[name], n=n + 1,
             psiR_prev=psi_r[name], gradR_prev=grad_r[name],
@@ -339,8 +344,20 @@ def _driven_spans(region):
 
 
 def _largest(arrays):
-    """Largest |x| over the arrays, without temporaries."""
-    return max(max(x.max(), -x.min()) for x in arrays)
+    """Largest |x| over the arrays from one max and one min pass each,
+    without temporaries; inf if any sample is NaN or infinite.
+
+    An array holds a non-finite sample exactly when one of its extremes is
+    non-finite, and unlike a sum the extremes of finite samples never
+    overflow.
+    """
+    out = 0.0
+    for x in arrays:
+        hi, lo = float(x.max()), float(x.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            return math.inf
+        out = max(out, hi, -lo)
+    return out
 
 
 def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6,
@@ -353,7 +370,8 @@ def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6,
     every step the windows are recorded, the quadratic forms only on the
     rows a CSV of the given stride keeps (SeriesBuilder), and each
     observer is called as
-    observer(windows).  The divergence guard sits at guard_factor times
+    observer(windows).  The divergence guard compares the windows'
+    largest |psi| (StepWindow.largest) with guard_factor times
     the larger of the initial largest |psi| over all regions and the
     running largest |prescribed hanging value| times the cell length
     along its face axis, so a driven region that starts nearly empty
@@ -374,15 +392,12 @@ def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6,
     driven = {name: _driven_spans(r) for name, r in regions.items()
               if r.boundary.driven_faces}
 
-    def largest():
-        return _largest([x for r in regions.values()
-                         for x in (r.state.psiR, r.state.psiI)])
-
     def finish():
         return {name: b.finish(regions[name].state)
                 for name, b in builders.items()}
 
-    norm0 = largest()
+    norm0 = _largest([x for r in regions.values()
+                      for x in (r.state.psiR, r.state.psiI)])
     guard = guard_factor * (norm0 if norm0 > 0.0 else 1.0)
     try:
         for _ in range(n_t):
@@ -396,10 +411,10 @@ def drive(regions, advance, dt, n_t, observers=(), guard_factor=1e6,
                 for lo, hi, h in spans:
                     guard = max(guard, guard_factor * h * _largest(
                         (w.gradR_n[lo:hi], w.gradI_np[lo:hi])))
-            norm = largest()
+            norm = max(w.largest for w in windows.values())
             if norm > guard:
                 raise DivergenceError(
-                    next(iter(regions.values())).state.n, float(norm))
+                    next(iter(regions.values())).state.n, norm)
     except DivergenceError as exc:
         exc.series = finish()
         raise

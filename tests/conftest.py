@@ -77,7 +77,8 @@ def tunneling_run():
 def unstable_run():
     """Deliberately unstable tunneling run (dt 1.005 times the barrier
     region's closed-form limit, the smallest of the three) up to the
-    divergence guard, with the largest |psi| after every step."""
+    divergence guard, with the largest |psi| after every step and the
+    guard's exc.norm."""
     spec = replace(sc.TunnelingSpec(), dt_factor=1.005)
     graph, dt = sc.build_tunneling_graph(spec)
     norms = []
@@ -94,4 +95,5 @@ def unstable_run():
         run_coupled(graph, dt, 100_000, observers=(track,))
     return {"series": exc_info.value.series,
             "diverged_at": exc_info.value.step,
+            "norm": exc_info.value.norm,
             "norms": np.array(norms), "initial_norm": norm0}

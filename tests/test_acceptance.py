@@ -235,6 +235,22 @@ def test_instability_negative_probability_and_growth(unstable_run):
     assert np.all(np.diff(tail) > 0.0)
 
 
+def test_instability_guard_trips_on_the_first_step_past_it(unstable_run):
+    # The guard reads leapfrog's largest |psi| of each step, which is the
+    # largest |psi| of every region's new vectors: it trips on the first
+    # step past 10^6 times the initial largest |psi| and reports that
+    # step's value: step 917 and 3.2224992092084445e21, as a guard that
+    # reduces the states themselves does.
+    norms, m = unstable_run["norms"], unstable_run["diverged_at"]
+    guard = 1e6 * unstable_run["initial_norm"]
+    assert norms.size == m
+    assert np.all(norms[:-1] <= guard) and norms[-1] > guard
+    assert unstable_run["norm"] == norms[-1]
+    assert m == 917
+    assert unstable_run["norm"] == pytest.approx(3.2224992092084445e21,
+                                                 rel=1e-12)
+
+
 def test_instability_probability_tracks_until_blowup(unstable_run):
     series = unstable_run["series"]
     total = sum(s.P for s in series.values())

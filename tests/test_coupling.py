@@ -229,3 +229,31 @@ def test_divergence_error_carries_partial_series():
     assert np.isfinite(exc.norm) and exc.norm > 1e3 * norm0
     assert set(exc.series) == {"A", "B"}
     assert exc.series["A"].steps_completed == exc.step
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_second_vector_of_second_region_aborts_before_commit(
+        monkeypatch, bad):
+    # One non-finite sample, put into region B's psi_I^{n+1/2} after the
+    # step has used it, is seen by leapfrog's check of the new vectors:
+    # the run stops at that step and neither region takes the step.
+    from fdtdq import stepper
+    _, _, _, graph = split_setup(seed=23)
+    half_step = stepper._half_step
+
+    def spoiled(parts, interfaces, dt, t, real_half, acting, before):
+        out = half_step(parts, interfaces, dt, t, real_half, acting, before)
+        if real_half and parts["B"][2].n == 2:
+            acting["B"][-1] = bad
+        return out
+
+    monkeypatch.setattr(stepper, "_half_step", spoiled)
+    with pytest.raises(DivergenceError) as exc_info:
+        run_coupled(graph, stable_dt(graph), 10)
+    exc = exc_info.value
+    assert exc.step == 3 and exc.norm == np.inf
+    for name, r in graph.regions.items():
+        assert r.state.n == 2
+        assert np.all(np.isfinite(r.state.psiR))
+        assert np.all(np.isfinite(r.state.psiI))
+        assert exc.series[name].steps_completed == 2

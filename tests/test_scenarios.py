@@ -290,13 +290,15 @@ def test_barrier_tables_match_the_per_mode_sum(barrier_spec):
                 assert abs(row[j] - ref) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("n0", [0, 101])
+@pytest.mark.parametrize("n0", [0, 101, 12_160])
 def test_barrier_drive_returns_its_block_call_and_fills_per_block(
         barrier_spec, monkeypatch, n0):
     # Step times in stepper order over more than two blocks; a first ask at
     # n0 > 0 is what a resumed run does.  Every value is the entry of the
-    # drive's block call, a repeat ask gives the same bits, and the drive
-    # calls barrier_gradient_x once per block.
+    # drive's block call, a repeat ask gives the same bits, the drive
+    # calls barrier_gradient_x once per block, from a multiple of the block
+    # length, and the phase recurrence stays within roundoff of the exact
+    # sum of the modes.
     g = barrier_spec
     dt = g.time_step()
     direct = sc.barrier_gradient_x
@@ -315,15 +317,17 @@ def test_barrier_drive_returns_its_block_call_and_fills_per_block(
         for t in (n * dt, (n + 0.5) * dt):
             for col, face in enumerate(("W", "E")):
                 value = drive(face, t)
-                (_, x, times), table = calls[-1]
+                (_, x, times, _), table = calls[-1]
                 assert list(x) == [0.0, g.lx]
                 expected = table[list(times).index(t), col]
                 assert np.array_equal(bits(value), bits(expected))
                 assert np.array_equal(bits(drive(face, t)), bits(value))
     assert len(calls) == 3
-    assert calls[0][0][2][0] == n0 * dt
-    (_, x, times), table = calls[-1]
-    assert np.array_equal(bits(direct(g, x, times)), bits(table))
+    assert calls[0][0][2][0] == (n0 - n0 % sc.SOURCE_BLOCK_STEPS) * dt
+    scale = [barrier_mode_sum(g, xj, 0.0, True)[1] for xj in (0.0, g.lx)]
+    for (_, x, times, _), table in calls:
+        drift = np.abs(table - direct(g, x, times))
+        assert np.all(drift <= 1e-14 * np.array(scale))
 
     # An off-grid time is evaluated directly and leaves the table alone.
     t = (n0 + 0.25) * dt
@@ -331,6 +335,45 @@ def test_barrier_drive_returns_its_block_call_and_fills_per_block(
     assert len(calls) == 4
     drive("W", (n0 + n_steps - 1) * dt)
     assert len(calls) == 4
+
+
+def test_barrier_drive_values_depend_on_the_step_alone(barrier_spec):
+    # Blocks start at multiples of the block length, so a drive first
+    # asked mid-block (a resumed run) has the bits of one started at 0.
+    g = barrier_spec
+    dt = g.time_step()
+
+    def asked_from(first):
+        drive = sc.BarrierDrive(g, dt)
+        return np.concatenate([
+            bits(drive(face, t))
+            for n in range(first, 2 * sc.SOURCE_BLOCK_STEPS)
+            for t in (n * dt, (n + 0.5) * dt) for face in ("W", "E")])
+
+    resumed = asked_from(101)
+    assert resumed.size == 27 * 2 * 2 * 2  # steps, times, faces, words
+    assert np.array_equal(asked_from(0)[-resumed.size:], resumed)
+
+
+def test_barrier_drive_block_forms_two_rows_of_exponentials(barrier_spec,
+                                                            monkeypatch):
+    # The rows of n0 dt and (n0 + 1/2) dt are exact; the other 126 come
+    # from the phase row, which like the faces' spatial matrix is formed
+    # once, when the drive is built.
+    g = barrier_spec
+    drive = sc.BarrierDrive(g, g.time_step())
+    exp_i = sc._exp_i
+    sizes = []
+
+    def counted(a):
+        sizes.append(a.size)
+        return exp_i(a)
+
+    monkeypatch.setattr(sc, "_exp_i", counted)
+    drive("W", 0.0)
+    assert sum(sizes) == 2 * g.omega.size
+    drive("E", 0.5 * g.time_step())
+    assert sum(sizes) == 2 * g.omega.size
 
 
 def test_prepare_barrier_defaults(barrier_spec):

@@ -5,8 +5,8 @@ from fdtdq.constants import ELECTRON
 from fdtdq.grid import FACES, RegionGrid, PotentialField, face_node_slices
 from fdtdq.operators import DiscreteOperators
 from fdtdq.stepper import (BoundaryCondition, DIRICHLET0, DivergenceError,
-                           NEUMANN0, PRESCRIBED, StaggeredState, load_checkpoint,
-                           run, save_checkpoint, step)
+                           NEUMANN0, PRESCRIBED, StaggeredState, _largest,
+                           load_checkpoint, run, save_checkpoint, step)
 from references import all_neumann, split_hanging
 
 
@@ -155,6 +155,25 @@ def test_divergence_guard_attaches_partial_series():
     exc = exc_info.value
     assert exc.norm == np.inf
     assert exc.series.steps_completed == exc.step - 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_largest_reads_any_non_finite_sample_as_inf(bad):
+    # Whatever the order of the arrays: Python's max drops a NaN that
+    # follows a number, so a NaN once gave 1.0 in one order, nan in the
+    # other.
+    ones, spoiled = np.ones(3), np.array([bad, 0.0])
+    assert _largest([ones, spoiled]) == np.inf
+    assert _largest([spoiled, ones]) == np.inf
+
+
+def test_largest_of_finite_samples_never_overflows():
+    # The extremes of finite samples are finite, where their sum is not.
+    big = np.array([1.5e308, 1.5e308, -1.7e308])
+    with np.errstate(over="ignore"):
+        assert np.isinf(big.sum())
+    assert _largest([np.array([-3.0, 2.0]), big]) == 1.7e308
+    assert _largest([np.array([-3.0, 2.0]), np.array([1.0])]) == 3.0
 
 
 def test_checkpoint_exact_roundtrip(tmp_path):
