@@ -11,22 +11,27 @@ Exit codes: 0 success, 2 configuration error, 3 divergence-guard abort,
 1 verification failure.
 
 Config files are JSON objects; physical quantities may be plain numbers
-(SI) or unit-tagged objects like {"value": 30, "unit": "nm"}.
+(SI) or unit-tagged objects like {"value": 30, "unit": "nm"}.  A config's
+keys are the fields of RunConfig plus the config keys of its scenario's
+spec class (see fdtdq.scenarios), which SCENARIOS maps from the scenario's
+name; each field carries its own parser.  Every scenario takes the same
+run path: the spec prepares its region graph, run_coupled drives a graph
+with interfaces and run a one-region graph, and the spec gives the
+references that the residuals are normalized by.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from . import scenarios as sc
-from .constants import EV, to_si
-from .coupling import (UnstableTimeStep, cross_region_conservation,
-                       enforce_time_step, run_coupled)
+from .constants import (EV, ConfigError, boolean, config_key, integer,
+                        parse_config, positive)
+from .coupling import UnstableTimeStep, enforce_time_step, run_coupled
 from .diagnostics import atomic_open
 from .grid import PotentialField, RegionGrid
 from .operators import DiscreteOperators
@@ -40,61 +45,9 @@ EXIT_DIVERGED = 3
 
 SUMMARY_SCHEMA_VERSION = 1
 
-
-class ConfigError(ValueError):
-    pass
-
-
-def _quantity(obj):
-    """A finite config number: plain (SI) or {"value": v, "unit": u}."""
-    number, unit = obj, "1"
-    if isinstance(obj, dict):
-        if "value" not in obj or set(obj) - {"value", "unit"}:
-            raise ConfigError(
-                f"bad quantity {obj!r}: expected the keys value and unit")
-        number, unit = obj["value"], obj.get("unit", "1")
-    if isinstance(number, bool) or not isinstance(number, (int, float)):
-        raise ConfigError(
-            f"expected a number or value/unit object, got {obj!r}")
-    try:
-        value = to_si(number, unit)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad quantity {obj!r}: {exc}") from None
-    if not np.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {obj!r}")
-    return value
-
-
-def _number(key, obj):
-    try:
-        return _quantity(obj)
-    except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
-def _positive(key, obj):
-    value = _number(key, obj)
-    if not value > 0.0:
-        raise ConfigError(f"{key} must be positive, got {value:g}")
-    return value
-
-
-def _integer(key, obj, minimum):
-    if isinstance(obj, float) and obj.is_integer():
-        obj = int(obj)
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ConfigError(f"{key} must be an integer, got {obj!r}")
-    if obj < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {obj}")
-    return obj
-
-
-def _cell_count(key, obj):
-    return _integer(key, obj, 1)
-
-
-RUN_KEYS = ("scenario", "n_t", "diag_stride", "checkpoint_interval",
-            "guard_factor", "allow_unstable")
+SCENARIOS = {"infinite_well": sc.InfiniteWellSpec,
+             "barrier": sc.GaussianBarrierSpec,
+             "tunneling": sc.TunnelingSpec}
 
 # Input size limits.  The diagnostics keep about 100 bytes per step and
 # the stepper about 20 node-length float64 arrays per region, so these
@@ -103,76 +56,79 @@ MAX_STEPS = 10**7
 MAX_REGION_NODES = 10**7
 
 
+def _scenario(key, name):
+    if not isinstance(name, str) or name not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r}")
+    return name
+
+
+def _unique_keys(pairs):
+    """A JSON object's pairs as a dict; a repeated key is a ConfigError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate config key {key!r}")
+        obj[key] = value
+    return obj
+
+
 @dataclass
 class RunConfig:
-    """Parsed run settings common to all scenarios, plus the scenario spec.
+    """Run settings common to all scenarios; every field is a config key.
 
-    n_t is resolved: the config's value or the scenario's default.
+    n_t None stands for the scenario's default; load resolves it.
     """
 
-    scenario: str
-    spec: object = None
-    n_t: int = None
-    diag_stride: int = 1
-    checkpoint_interval: int = 0
-    guard_factor: float = 1e6
-    allow_unstable: bool = False
+    scenario: str = field(metadata={"parse": _scenario})
+    n_t: int = config_key(None, integer(0))
+    diag_stride: int = config_key(1, integer(1))
+    checkpoint_interval: int = config_key(0, integer(0))
+    guard_factor: float = config_key(1e6, positive)
+    allow_unstable: bool = config_key(False, boolean)
 
     @classmethod
     def load(cls, path, stride=None, allow_unstable=False):
-        """Read and validate a config; any bad or unknown key is a
-        ConfigError."""
+        """Read and validate a config: (RunConfig, scenario spec).
+
+        Any bad, unknown or repeated key is a ConfigError.
+        """
+        # Bad JSON or UTF-8, an integer past Python's digit limit and a
+        # repeated key (ConfigError) all raise ValueErrors.
         try:
             with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                raw = json.load(fh, object_pairs_hook=_unique_keys)
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
         if "scenario" not in raw:
             raise ConfigError("config is missing the 'scenario' key")
-        scenario = raw["scenario"]
-        if not isinstance(scenario, str) or scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {scenario!r}")
-        entry = SCENARIOS[scenario]
-        parsers = entry.parsers
-        unknown = sorted(set(raw) - set(RUN_KEYS) - set(parsers))
+        spec_cls = SCENARIOS[_scenario("scenario", raw["scenario"])]
+        keys = {f.name for f in fields(cls) + fields(spec_cls)
+                if "parse" in f.metadata}
+        unknown = sorted(set(raw) - keys)
         if unknown:
             raise ConfigError(
                 f"unknown config key {unknown[0]!r} for scenario "
-                f"{scenario!r}; accepted keys: "
-                f"{', '.join(sorted(RUN_KEYS + tuple(parsers)))}")
+                f"{raw['scenario']!r}; accepted keys: "
+                f"{', '.join(sorted(keys))}")
 
-        cfg = cls(scenario=scenario)
-        cfg.diag_stride = _integer("diag_stride", raw.get("diag_stride", 1),
-                                   1)
+        cfg = cls(**parse_config(cls, raw))
         if stride is not None:
-            cfg.diag_stride = _integer("--stride", stride, 1)
-        cfg.checkpoint_interval = _integer(
-            "checkpoint_interval", raw.get("checkpoint_interval", 0), 0)
-        if "guard_factor" in raw:
-            cfg.guard_factor = _positive("guard_factor", raw["guard_factor"])
-        unstable = raw.get("allow_unstable", False)
-        if not isinstance(unstable, bool):
-            raise ConfigError(
-                f"allow_unstable must be true or false, got {unstable!r}")
-        cfg.allow_unstable = allow_unstable or unstable
-        cfg.spec = entry.spec(**{key: parse(key, raw[key])
-                                 for key, parse in parsers.items()
-                                 if key in raw})
-        for name, grid in entry.grids(cfg.spec).items():
+            cfg.diag_stride = integer(1)("--stride", stride)
+        cfg.allow_unstable |= allow_unstable
+        spec = spec_cls(**parse_config(spec_cls, raw))
+        for name, grid in spec.grids().items():
             if grid.n_nodes > MAX_REGION_NODES:
                 raise ConfigError(
                     f"region {name!r} has {grid.n_nodes} nodes, more than "
                     f"{MAX_REGION_NODES}")
-        if "n_t" in raw:
-            cfg.n_t = _integer("n_t", raw["n_t"], 0)
-        else:
-            cfg.n_t = cfg.spec.default_n_t()
+        if cfg.n_t is None:
+            cfg.n_t = spec.default_n_t()
         if cfg.n_t > MAX_STEPS:
             raise ConfigError(
                 f"n_t = {cfg.n_t} is more than {MAX_STEPS} steps")
-        return cfg
+        return cfg, spec
 
 
 def _finite_extreme(arr, fn):
@@ -233,94 +189,6 @@ def _run_one(graph, dt, n_t, **driver_args):
         raise
 
 
-def _barrier_references(spec, series):
-    """Peak analytic probability and energy of the region, sampled every
-    max(1, n_t // 700) steps: at most 1 400 times (1 001 at n_t = 1 000)."""
-    (s,) = series.values()
-    stride = max(1, s.n_t // 700)
-    times = np.arange(0, s.steps_completed + 1, stride) * s.dt
-    norm_p = float(sc.analytic_region_probability(spec, times).max())
-    norm_h = float(sc.analytic_region_energy(spec, times).max())
-    return norm_p, norm_h, {"max_analytic_P": norm_p,
-                            "max_analytic_H_joules": norm_h,
-                            "max_analytic_H_ev": norm_h / EV}
-
-
-def _tunneling_references(spec, series):
-    norm_h = sc.analytic_total_energy(spec)
-    cons = cross_region_conservation(series)
-    return 1.0, norm_h, {
-        "analytic_H_joules": norm_h,
-        "analytic_H_ev": norm_h / EV,
-        "total_P_max_drift": cons["max_P_drift"],
-        "total_H_max_drift_normalized": cons["max_H_drift_normalized"]}
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """All that the CLI does differently per scenario.
-
-    spec is the spec class and parsers maps each config key to its
-    parser; the keys are the spec's constructor arguments, and together
-    with RUN_KEYS they are the only keys a config of the scenario may hold.
-    grids(spec) gives region name -> grid and potential(spec, name, grid)
-    that region's potential.  prepare(spec) gives (RegionGraph, dt)
-    holding the initial state.  drive(graph, dt, n_t, observers=...,
-    guard_factor=..., stride=...) runs it and returns region name ->
-    series, with P and H evaluated only on the rows a CSV of that stride
-    writes (plus n = 1 and the final row), raising DivergenceError with
-    exc.series in the same form.  references(spec, series) gives (norm_P,
-    norm_H, extra summary keys).
-    """
-
-    spec: type
-    parsers: dict
-    grids: Callable
-    potential: Callable
-    prepare: Callable
-    drive: Callable
-    references: Callable
-
-
-# The entries look up run, run_coupled and the scenarios functions when
-# called, not when this table is built, so that a wrapper installed on a
-# module after import (as bench/child.py does to time them) sees every
-# call.
-SCENARIOS = {
-    "infinite_well": Scenario(
-        sc.InfiniteWellSpec,
-        {"a": _positive, "n_cells": _cell_count, "dt_factor": _positive,
-         "phase": _number},
-        grids=lambda spec: {"well": spec.grid()},
-        potential=lambda spec, name, grid: spec.potential(grid),
-        prepare=lambda spec: sc.prepare_infinite_well(spec),
-        drive=_run_one,
-        references=lambda spec, series: (1.0, spec.ground_energy, {})),
-    "barrier": Scenario(
-        sc.GaussianBarrierSpec,
-        {"x0": _number, "lambda_bar": _positive, "u0": _number,
-         "a": _number, "lx": _positive, "ly": _positive, "lz": _positive,
-         "cell": _positive, "horizon": _positive, "dt_factor": _positive},
-        grids=lambda spec: {"barrier": spec.grid()},
-        potential=lambda spec, name, grid: spec.potential(grid),
-        prepare=lambda spec: sc.prepare_barrier(spec),
-        drive=_run_one,
-        references=_barrier_references),
-    "tunneling": Scenario(
-        sc.TunnelingSpec,
-        {"lx_reactant": _positive, "lx_barrier": _positive,
-         "lx_product": _positive, "ly": _positive, "lz": _positive,
-         "cell": _positive, "u0": _positive, "temperature": _positive,
-         "dt_factor": _positive},
-        grids=lambda spec: {r: spec.region_grid(r)
-                            for r in sc.TUNNELING_REGIONS},
-        potential=lambda spec, name, grid: spec.region_potential(name, grid),
-        prepare=lambda spec: sc.build_tunneling_graph(spec),
-        drive=lambda *args, **kw: run_coupled(*args, **kw),
-        references=_tunneling_references),
-}
-
-
 def _finite_or_null(obj):
     """obj with every non-finite float, in nested dicts too, as None."""
     if isinstance(obj, dict):
@@ -340,28 +208,39 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _output_dir(path):
+    """path as a directory, created if missing; failing that, a
+    ConfigError."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {path}: {exc}") from None
+    return out_dir
+
+
 def cmd_run(args):
-    cfg = RunConfig.load(args.config, stride=args.stride,
-                         allow_unstable=args.allow_unstable)
-    scenario = SCENARIOS[cfg.scenario]
-    graph, dt = scenario.prepare(cfg.spec)
+    cfg, spec = RunConfig.load(args.config, stride=args.stride,
+                               allow_unstable=args.allow_unstable)
+    graph, dt = spec.prepare()
     if not cfg.allow_unstable:
         try:
             enforce_time_step(graph, dt)
         except UnstableTimeStep as exc:
             raise ConfigError(str(exc)) from None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
 
+    drive = run_coupled if graph.interfaces else _run_one
     diverged_at = None
     try:
-        series = scenario.drive(
+        series = drive(
             graph, dt, cfg.n_t, guard_factor=cfg.guard_factor,
             observers=_checkpoint_observer(out_dir, cfg.checkpoint_interval),
             stride=cfg.diag_stride)
     except DivergenceError as exc:
         series, diverged_at = exc.series, exc.step
-    norm_p, norm_h, extra = scenario.references(cfg.spec, series)
+    norm_p, norm_h, extra = spec.references(series)
     regions = {}
     for name, s in series.items():
         s.compute_residuals(norm_P=norm_p, norm_H=norm_h)
@@ -386,20 +265,18 @@ def cmd_run(args):
 
 
 def cmd_cfl(args):
-    cfg = RunConfig.load(args.config)
-    scenario = SCENARIOS[cfg.scenario]
-    out_dir = Path(args.out) if args.out else None
-    dt = cfg.spec.time_step()
+    _, spec = RunConfig.load(args.config)
+    out_dir = _output_dir(args.out) if args.out else None
+    dt = spec.time_step()
     reports = {}
-    for name, grid in scenario.grids(cfg.spec).items():
-        report = check_theorems(grid, scenario.potential(cfg.spec, name, grid),
-                                cfg.spec.constants, dt)
+    for name, grid in spec.grids().items():
+        report = check_theorems(grid, spec.potential(name, grid),
+                                spec.constants, dt)
         reports[name] = report.as_dict()
         print(f"[{name}]")
         print(report.as_text())
         print()
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "stability.json"
         _write_json(path, reports)
         print(f"wrote {path}")

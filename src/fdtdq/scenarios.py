@@ -9,9 +9,12 @@ Three setups are provided:
   (reactant, barrier, product) initialized from a superposition of
   bound tunneling modes with thermal weights.
 
-Each scenario builds the grid, potential, boundary conditions, initial
-staggered state and time step, and supplies analytic reference
-observables where available.
+Each scenario is one frozen spec dataclass.  Its fields declared with
+constants.config_key are its config keys; `constants` (the particle) is
+none.  Every spec has grids() (region name -> RegionGrid, allocating no
+node array), potential(region, grid), prepare() ((RegionGraph, dt) with the
+initial state) and references(series) ((norm_P, norm_H, extra summary
+keys) of a run's region name -> DiagnosticsSeries).
 """
 
 import os
@@ -21,8 +24,10 @@ from typing import Optional
 import numpy as np
 
 from .constants import (BOLTZMANN, ELECTRON, EV, PROTON_1DA,
-                        PhysicalConstants)
-from .coupling import Interface, Region, RegionGraph
+                        PhysicalConstants, config_key, integer, number,
+                        positive)
+from .coupling import (Interface, Region, RegionGraph,
+                       cross_region_conservation)
 from .diagnostics import total_probability
 from .grid import PotentialField, RegionGrid
 from .operators import DiscreteOperators
@@ -64,18 +69,32 @@ def _cells_along(length, cell, name):
 class InfiniteWellSpec:
     """Lowest mode of a cubic box with impenetrable walls."""
 
-    a: float = 30e-9
-    n_cells: int = 30
+    a: float = config_key(30e-9, positive)
+    n_cells: int = config_key(30, integer(1))
     constants: PhysicalConstants = ELECTRON
-    phase: float = np.pi / 3.0
-    dt_factor: float = 0.999
+    phase: float = config_key(np.pi / 3.0, number)
+    dt_factor: float = config_key(0.999, positive)
 
     def grid(self):
         h = self.a / self.n_cells
         return RegionGrid(self.n_cells, self.n_cells, self.n_cells, h, h, h)
 
-    def potential(self, grid):
+    def grids(self):
+        return {"well": self.grid()}
+
+    def potential(self, region, grid):
         return PotentialField.uniform(grid)
+
+    # prepare and references, here and in the other specs, call this
+    # module's functions through its globals, never a stored reference, so
+    # that a wrapper installed on the module after import (as the
+    # benchmark does to time them) sees every call.
+    def prepare(self):
+        return prepare_infinite_well(self)
+
+    def references(self, series):
+        """The closed box keeps P = 1 and H = E_1."""
+        return 1.0, self.ground_energy, {}
 
     @property
     def ground_energy(self):
@@ -85,7 +104,7 @@ class InfiniteWellSpec:
 
     def time_step(self):
         grid = self.grid()
-        return self.dt_factor * cfl_limit(grid, self.potential(grid),
+        return self.dt_factor * cfl_limit(grid, self.potential("well", grid),
                                           self.constants)
 
     def horizon(self):
@@ -121,7 +140,7 @@ def infinite_well_sample(spec, grid, dt, t=0.0, amplitude=None):
     if amplitude is not None:
         return pair(amplitude)
     psi_r, psi_i = pair(1.0)
-    ops = DiscreteOperators(grid, spec.potential(grid), c)
+    ops = DiscreteOperators(grid, spec.potential("well", grid), c)
     p0 = total_probability(psi_r, psi_i, ops, dt)
     return pair(1.0 / np.sqrt(p0))
 
@@ -132,8 +151,9 @@ def prepare_infinite_well(spec):
     grid = spec.grid()
     dt = spec.time_step()
     psi_r, psi_i = infinite_well_sample(spec, grid, dt)
-    region = Region.build("well", grid, spec.potential(grid), spec.constants,
-                          BoundaryCondition.all_dirichlet(), psi_r, psi_i)
+    region = Region.build("well", grid, spec.potential("well", grid),
+                          spec.constants, BoundaryCondition.all_dirichlet(),
+                          psi_r, psi_i)
     return RegionGraph([region], []), dt
 
 
@@ -153,17 +173,17 @@ class GaussianBarrierSpec:
     the fields once, on construction, and its arrays are read-only.
     """
 
-    x0: float = -200e-9
-    lambda_bar: float = 30e-9
-    u0: float = 1.5e-3 * EV
-    a: float = 100e-9
-    lx: float = 200e-9
-    ly: float = 2e-9
-    lz: float = 2e-9
-    cell: float = 1e-9
+    x0: float = config_key(-200e-9, number)
+    lambda_bar: float = config_key(30e-9, positive)
+    u0: float = config_key(1.5e-3 * EV, number)
+    a: float = config_key(100e-9, number)
+    lx: float = config_key(200e-9, positive)
+    ly: float = config_key(2e-9, positive)
+    lz: float = config_key(2e-9, positive)
+    cell: float = config_key(1e-9, positive)
     constants: PhysicalConstants = ELECTRON
-    dt_factor: float = 0.999
-    horizon: float = 35e-12
+    dt_factor: float = config_key(0.999, positive)
+    horizon: float = config_key(35e-12, positive)
 
     def __post_init__(self):
         self.grid()  # fails unless the cell fits every length
@@ -190,7 +210,10 @@ class GaussianBarrierSpec:
                           _cells_along(self.ly, c, "ly"),
                           _cells_along(self.lz, c, "lz"), c, c, c)
 
-    def potential(self, grid):
+    def grids(self):
+        return {"barrier": self.grid()}
+
+    def potential(self, region, grid):
         a, u0 = self.a, self.u0
         tol = 1e-6 * self.cell
 
@@ -203,14 +226,30 @@ class GaussianBarrierSpec:
 
     def time_step(self):
         grid = self.grid()
-        return self.dt_factor * cfl_limit(grid, self.potential(grid),
-                                          self.constants)
+        return self.dt_factor * cfl_limit(
+            grid, self.potential("barrier", grid), self.constants)
 
     def default_n_t(self):
         return int(round(self.horizon / self.time_step()))
 
     def cross_section(self):
         return self.ly * self.lz
+
+    def prepare(self):
+        return prepare_barrier(self)
+
+    def references(self, series):
+        """Peak analytic probability and energy of the region, sampled
+        every max(1, n_t // 700) steps: at most 1 400 times (1 001 at
+        n_t = 1 000)."""
+        (s,) = series.values()
+        stride = max(1, s.n_t // 700)
+        times = np.arange(0, s.steps_completed + 1, stride) * s.dt
+        norm_p = float(analytic_region_probability(self, times).max())
+        norm_h = float(analytic_region_energy(self, times).max())
+        return norm_p, norm_h, {"max_analytic_P": norm_p,
+                                "max_analytic_H_joules": norm_h,
+                                "max_analytic_H_ev": norm_h / EV}
 
 
 def _exp_i(a):
@@ -482,7 +521,7 @@ def prepare_barrier(spec):
         kinds={"W": PRESCRIBED, "E": PRESCRIBED, "S": NEUMANN0,
                "N": NEUMANN0, "B": NEUMANN0, "T": NEUMANN0},
         sources=barrier_sources(spec, dt))
-    region = Region.build("barrier", grid, spec.potential(grid),
+    region = Region.build("barrier", grid, spec.potential("barrier", grid),
                           spec.constants, boundary, psi_r, psi_i)
     return RegionGraph([region], []), dt
 
@@ -515,20 +554,19 @@ _BARRIER_DT_CFL = 55.844895610996282e-18
 class TunnelingSpec:
     """Three-region tunneling setup and its bound-mode superposition."""
 
-    lx_reactant: float = 1e-10
-    lx_barrier: float = 0.5e-10
-    lx_product: float = 1e-10
-    ly: float = 1e-10
-    lz: float = 0.9e-10
-    cell: float = (1.0 / 30.0) * 1e-10
-    temperature: float = 298.0
+    lx_reactant: float = config_key(1e-10, positive)
+    lx_barrier: float = config_key(0.5e-10, positive)
+    lx_product: float = config_key(1e-10, positive)
+    ly: float = config_key(1e-10, positive)
+    lz: float = config_key(0.9e-10, positive)
+    cell: float = config_key((1.0 / 30.0) * 1e-10, positive)
+    temperature: float = config_key(298.0, positive)
     constants: PhysicalConstants = PROTON_1DA
-    dt_factor: float = 0.999
-    u0: Optional[float] = None
+    dt_factor: float = config_key(0.999, positive)
+    u0: Optional[float] = config_key(None, positive)
 
     def __post_init__(self):
-        for region in TUNNELING_REGIONS:
-            self.region_grid(region)  # fails unless the cell fits
+        self.grids()  # fails unless the cell fits every length
 
     @property
     def barrier_height(self):
@@ -551,17 +589,34 @@ class TunnelingSpec:
             _cells_along(self.ly, c, "ly"), _cells_along(self.lz, c, "lz"),
             c, c, c)
 
-    def region_potential(self, region, grid):
+    def grids(self):
+        return {r: self.region_grid(r) for r in TUNNELING_REGIONS}
+
+    def potential(self, region, grid):
         value = self.barrier_height if region == "barrier" else 0.0
         return PotentialField.uniform(grid, value)
 
     def time_step(self):
         grid = self.region_grid("barrier")
         return self.dt_factor * cfl_limit(
-            grid, self.region_potential("barrier", grid), self.constants)
+            grid, self.potential("barrier", grid), self.constants)
 
     def default_n_t(self):
         return int(round(TUNNELING_HORIZON / self.time_step()))
+
+    def prepare(self):
+        return build_tunneling_graph(self)
+
+    def references(self, series):
+        """The summed probability stays 1; the energy reference is the
+        thermal mean, and the summary adds the summed drifts."""
+        norm_h = analytic_total_energy(self)
+        cons = cross_region_conservation(series)
+        return 1.0, norm_h, {
+            "analytic_H_joules": norm_h,
+            "analytic_H_ev": norm_h / EV,
+            "total_P_max_drift": cons["max_P_drift"],
+            "total_H_max_drift_normalized": cons["max_H_drift_normalized"]}
 
 
 @dataclass(frozen=True)
@@ -786,7 +841,7 @@ def build_tunneling_graph(spec, t=0.0, modes=None):
     for region in TUNNELING_REGIONS:
         grid = spec.region_grid(region)
         ops[region] = DiscreteOperators(
-            grid, spec.region_potential(region, grid), spec.constants)
+            grid, spec.potential(region, grid), spec.constants)
         samples[region] = tunneling_sample(spec, region, grid, dt, t=t,
                                            modes=modes)
     total = sum(total_probability(samples[r][0], samples[r][1],

@@ -39,14 +39,14 @@ WELL_TABLE = {
 def test_cfl_closed_form_well():
     spec = sc.InfiniteWellSpec()
     grid = spec.grid()
-    dt = cfl_limit(grid, spec.potential(grid), spec.constants)
+    dt = cfl_limit(grid, spec.potential("well", grid), spec.constants)
     assert abs(dt - 2.879 * FS) <= 0.001 * FS
 
 
 def test_cfl_closed_form_reflection():
     spec = sc.GaussianBarrierSpec()
     grid = spec.grid()
-    dt = cfl_limit(grid, spec.potential(grid), spec.constants)
+    dt = cfl_limit(grid, spec.potential("barrier", grid), spec.constants)
     assert abs(dt - 2.869915 * FS) <= 1e-5 * FS
 
 
@@ -57,8 +57,7 @@ def test_cfl_closed_form_tunneling_regions():
                 "product": 58.318879645754819 * AS}
     for region, dt_ref in expected.items():
         grid = spec.region_grid(region)
-        dt = cfl_limit(grid, spec.region_potential(region, grid),
-                       spec.constants)
+        dt = cfl_limit(grid, spec.potential(region, grid), spec.constants)
         assert abs(dt - dt_ref) <= 1e-6 * AS, region
 
 
@@ -69,8 +68,9 @@ def test_cfl_closed_form_tunneling_regions():
 def test_cfl_gen_equals_closed_form_for_well():
     spec = sc.InfiniteWellSpec()
     grid = spec.grid()
-    ops = DiscreteOperators(grid, spec.potential(grid), spec.constants)
-    dt_cfl = cfl_limit(grid, spec.potential(grid), spec.constants)
+    u = spec.potential("well", grid)
+    ops = DiscreteOperators(grid, u, spec.constants)
+    dt_cfl = cfl_limit(grid, u, spec.constants)
     dt_gen = cfl_gen_limit(ops)
     assert abs(dt_gen - dt_cfl) / dt_gen <= 1e-12
 
@@ -78,7 +78,8 @@ def test_cfl_gen_equals_closed_form_for_well():
 def test_cfl_gen_reflection_grid():
     spec = sc.GaussianBarrierSpec()
     grid = spec.grid()
-    ops = DiscreteOperators(grid, spec.potential(grid), spec.constants)
+    ops = DiscreteOperators(grid, spec.potential("barrier", grid),
+                            spec.constants)
     assert abs(cfl_gen_limit(ops) - 2.869968 * FS) <= 1e-4 * FS
 
 

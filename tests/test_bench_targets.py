@@ -1,14 +1,21 @@
-"""Every function that bench/child.py wraps by name must exist.
+"""The functions that bench/child.py wraps by name must exist, and the
+CLI must reach them through the attributes that child.py replaces.
 
 The benchmark patches package attributes by their dotted paths, so a
-renamed or removed target would otherwise show only in the slow bench
-smoke test.  The names are read from the file's source: it is neither
-imported nor edited here.
+renamed or removed target, or a caller that holds its own reference,
+would otherwise show only in the slow bench smoke test.  The names are
+read from the file's source: it is neither imported nor edited here.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
+
+from fdtdq import cli
+from fdtdq import scenarios as sc
+from test_cli import TINY, write_config
 
 CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
 LISTS = ("TRACE_TARGETS", "ALLOC_TARGETS", "DRIVERS")
@@ -49,3 +56,51 @@ def test_every_bench_patch_target_resolves():
     missing = [f"{module}:{attr}" for module, attr in targets
                if not callable(_resolve(module, attr))]
     assert not missing
+
+
+# The functions bench/child.py replaces on their modules to time the
+# drivers, the preparation and the analytic references.
+DRIVERS = ("run", "run_coupled", "check_theorems")
+PREPARE = ("prepare_infinite_well", "prepare_barrier",
+           "build_tunneling_graph")
+ANALYTIC = ("analytic_region_probability", "analytic_region_energy",
+            "analytic_total_energy")
+
+
+@pytest.mark.parametrize("scenario", sorted(TINY))
+def test_cli_calls_the_bench_targets_through_their_modules(
+        tmp_path, monkeypatch, scenario):
+    # A stored reference (say, a table built at import) would keep the
+    # unwrapped function, and only the slow bench smoke test would see it.
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in DRIVERS:
+        counting(cli, name)
+    for name in PREPARE + ANALYTIC:
+        counting(sc, name)
+    config = write_config(tmp_path, TINY[scenario])
+
+    assert cli.main(["run", "--config", config,
+                     "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    prepare = {"infinite_well": "prepare_infinite_well",
+               "barrier": "prepare_barrier",
+               "tunneling": "build_tunneling_graph"}[scenario]
+    driver = "run_coupled" if scenario == "tunneling" else "run"
+    references = {"infinite_well": [],
+                  "barrier": ["analytic_region_probability",
+                              "analytic_region_energy"],
+                  "tunneling": ["analytic_total_energy"]}[scenario]
+    assert calls == [prepare, driver] + references
+
+    calls.clear()
+    assert cli.main(["cfl", "--config", config]) == cli.EXIT_OK
+    regions = 3 if scenario == "tunneling" else 1
+    assert calls == ["check_theorems"] * regions

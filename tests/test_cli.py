@@ -14,17 +14,18 @@ import pytest
 from fdtdq import cli
 from fdtdq import scenarios as sc
 from fdtdq.cli import (EXIT_CONFIG_ERROR, EXIT_DIVERGED, EXIT_OK,
-                       EXIT_VERIFY_FAILED, ConfigError, RunConfig,
-                       _quantity, main)
-from fdtdq.constants import EV
+                       EXIT_VERIFY_FAILED, ConfigError, RunConfig, main)
+from fdtdq.constants import EV, number
 from fdtdq.coupling import run_coupled
 from fdtdq.diagnostics import CSV_COLUMNS
 from fdtdq.stepper import load_checkpoint
 
 
 def write_config(tmp_path, obj, name="config.json"):
+    """Path of a config file holding obj: a JSON string as it is, any
+    other object as JSON."""
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(path)
 
 
@@ -34,19 +35,14 @@ def read_csv(path):
 
 
 def test_quantity_parsing():
-    assert _quantity(3.0) == 3.0
-    assert _quantity({"value": 30, "unit": "nm"}) == pytest.approx(30e-9)
-    assert _quantity({"value": 1, "unit": "eV"}) == pytest.approx(EV)
-    with pytest.raises(ConfigError):
-        _quantity({"value": 1, "unit": "parsec"})
-    with pytest.raises(ConfigError):
-        _quantity("thirty")
-    with pytest.raises(ConfigError):
-        _quantity(True)
-    with pytest.raises(ConfigError):
-        _quantity(float("nan"))
-    with pytest.raises(ConfigError):
-        _quantity({"value": 30, "units": "nm"})
+    assert number("q", 3.0) == 3.0
+    assert number("q", {"value": 30, "unit": "nm"}) == pytest.approx(30e-9)
+    assert number("q", {"value": 1, "unit": "eV"}) == pytest.approx(EV)
+    for bad in ({"value": 1, "unit": "parsec"}, "thirty", True,
+                float("nan"), {"value": 30, "units": "nm"},
+                10**400):  # the last is beyond float range
+        with pytest.raises(ConfigError, match="^q: "):
+            number("q", bad)
 
 
 def test_run_config_validation(tmp_path):
@@ -54,6 +50,9 @@ def test_run_config_validation(tmp_path):
         RunConfig.load(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    with pytest.raises(ConfigError):
+        RunConfig.load(bad)
+    bad.write_bytes(b'\xff\xfe{"scenario": "infinite_well"}')  # not UTF-8
     with pytest.raises(ConfigError):
         RunConfig.load(bad)
     with pytest.raises(ConfigError):
@@ -66,10 +65,11 @@ def test_run_config_validation(tmp_path):
         RunConfig.load(write_config(
             tmp_path, {"scenario": "infinite_well", "diag_stride": 0},
             "stride.json"))
-    cfg = RunConfig.load(write_config(
+    cfg, spec = RunConfig.load(write_config(
         tmp_path, {"scenario": "infinite_well", "n_t": 5,
                    "diag_stride": 2}, "good.json"))
     assert cfg.n_t == 5 and cfg.diag_stride == 2
+    assert spec == sc.InfiniteWellSpec()
 
 
 def test_run_well_success(tmp_path):
@@ -141,6 +141,7 @@ def test_run_unstable_dt_rejected_then_diverges(tmp_path, capsys, config,
     assert "exceeds the generalized limit" in err[0]
     assert err[0].endswith(f"of region {region!r}; pass --allow-unstable "
                            "to run anyway")
+    assert not out.exists()
     code = main(["run", "--config", config, "--out", str(out),
                  "--allow-unstable"])
     assert code == EXIT_DIVERGED
@@ -218,13 +219,14 @@ def _run_strided_and_reference(tmp_path, monkeypatch, settings, stride):
     out = tmp_path / "strided"
     code = main(args + ["--out", str(out)])
 
-    entry = cli.SCENARIOS[settings["scenario"]]
+    def every_row(driver):
+        def drive(*drive_args, stride, **kwargs):
+            return driver(*drive_args, stride=1, **kwargs)
+        return drive
 
-    def drive_every_row(*drive_args, stride, **kwargs):
-        return entry.drive(*drive_args, stride=1, **kwargs)
-
-    monkeypatch.setitem(cli.SCENARIOS, settings["scenario"],
-                        dataclasses.replace(entry, drive=drive_every_row))
+    # cmd_run calls both drivers through these module attributes.
+    for name in ("run", "run_coupled"):
+        monkeypatch.setattr(cli, name, every_row(getattr(cli, name)))
     ref = tmp_path / "reference"
     ref_code = main(args + ["--out", str(ref)])
     return code, out, ref_code, ref
@@ -584,6 +586,16 @@ WELL = {"scenario": "infinite_well", "n_cells": 6, "n_t": 2}
     ({"scenario": "tunneling", "n_t": 2, "temperature": 0},
      "temperature must be positive"),
     ({"scenario": ["well"]}, "unknown scenario"),
+    pytest.param('{"scenario": "infinite_well", "n_cells": 4, "n_t": 3, '
+                 '"n_t": 5}', "duplicate config key 'n_t'",
+                 id="duplicate-key"),
+    pytest.param('{"scenario": "infinite_well", "n_t": 3, '
+                 '"a": {"value": 30, "unit": "nm", "unit": "m"}}',
+                 "duplicate config key 'unit'", id="duplicate-unit"),
+    pytest.param('{"scenario": "infinite_well", "n_t": 3, "a": 1%0400d}' % 0,
+                 "a: bad quantity 1000", id="integer-beyond-float"),
+    pytest.param('{"scenario": "infinite_well", "n_t": 1%05000d}' % 0,
+                 "Exceeds the limit", id="integer-beyond-str-limit"),
 ])
 @pytest.mark.parametrize("command", ["run", "cfl"])
 def test_bad_config_fails_closed(tmp_path, capsys, command, config, message):
@@ -610,25 +622,62 @@ def test_tunneling_barrier_below_mode_energy_is_config_error(tmp_path,
     assert "does not exceed x-energy 1" in err[0]
 
 
-def test_every_scenario_key_is_accepted(tmp_path):
-    run_keys = {"n_t": 3, "diag_stride": 1, "checkpoint_interval": 0,
-                "guard_factor": 1e6, "allow_unstable": False}
-    configs = [
-        {"scenario": "infinite_well", "a": {"value": 30, "unit": "nm"},
-         "n_cells": 4, "dt_factor": 0.999, "phase": 1.0},
-        {"scenario": "barrier", "x0": -100e-9, "lambda_bar": 30e-9,
-         "u0": {"value": 1.5, "unit": "meV"}, "a": 100e-9, "lx": 200e-9,
-         "ly": 2e-9, "lz": 2e-9, "cell": 1e-9, "horizon": 35e-12,
-         "dt_factor": 0.999},
-        {"scenario": "tunneling", "lx_reactant": 1e-10, "lx_barrier": 0.5e-10,
-         "lx_product": 1e-10, "ly": 1e-10, "lz": 0.9e-10,
-         "cell": {"value": 1 / 30, "unit": "angstrom"},
-         "u0": {"value": 1.0, "unit": "eV"},
-         "temperature": {"value": 298, "unit": "K"}, "dt_factor": 0.999},
-    ]
-    for config in configs:
-        cfg = RunConfig.load(write_config(tmp_path, {**config, **run_keys}))
-        assert cfg.n_t == 3 and cfg.spec is not None
+def test_every_scenario_key_is_accepted(tmp_path, capsys):
+    # The keys come from the dataclass fields, so a field added to a spec
+    # or to RunConfig is covered here without a hand-kept list.
+    def fails(settings):
+        out = tmp_path / "o"
+        argv = ["run", "--config", write_config(tmp_path, settings),
+                "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and not out.exists()
+        return err[0].removeprefix("configuration error: ")
+
+    for scenario, spec_cls in cli.SCENARIOS.items():
+        fields = dataclasses.fields(RunConfig) + dataclasses.fields(spec_cls)
+        keys = [f.name for f in fields if f.name != "constants"]
+        assert len(keys) == len(fields) - 1
+        # Every key at its default, or at the TINY value where there is
+        # none (scenario, n_t, the tunneling u0) or it is too large to run.
+        config = {f.name: f.default for f in fields if f.name in keys
+                  and f.default not in (None, dataclasses.MISSING)}
+        config.update(TINY[scenario])
+        assert sorted(config) == sorted(keys)
+        cfg, spec = RunConfig.load(write_config(tmp_path, config))
+        for key in keys:
+            if not isinstance(config[key], dict):
+                value = getattr(cfg if hasattr(cfg, key) else spec, key)
+                assert value == config[key], key
+
+        assert fails({**config, "constants": 1.0}).startswith(
+            f"unknown config key 'constants' for scenario {scenario!r}")
+        for key in keys:
+            message = fails({**config, key: "abc"})
+            if key == "scenario":
+                assert message == "unknown scenario 'abc'"
+            else:
+                assert re.match(rf"{key}\b", message), message
+                assert "'abc'" in message, message
+
+
+@pytest.mark.parametrize("command", ["run", "cfl"])
+@pytest.mark.parametrize("target", ["file", "below-a-file"])
+def test_bad_out_is_a_config_error(tmp_path, capsys, command, target):
+    # An --out that names a file, or a path below one, cannot be created:
+    # one line and exit 2, not a FileExistsError or NotADirectoryError
+    # traceback.
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if target == "file" else blocker / "x"
+    argv = [command, "--config", write_config(tmp_path, TINY["barrier"]),
+            "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        f"configuration error: cannot create output directory {out}: ")
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_tunneling_checkpoints_written_per_region(tmp_path):

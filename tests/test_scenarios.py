@@ -44,7 +44,8 @@ def test_well_sample_normalized_and_zero_on_walls():
     grid = spec.grid()
     dt = spec.time_step()
     psi_r, psi_i = sc.infinite_well_sample(spec, grid, dt)
-    ops = DiscreteOperators(grid, spec.potential(grid), spec.constants)
+    ops = DiscreteOperators(grid, spec.potential("well", grid),
+                            spec.constants)
     assert total_probability(psi_r, psi_i, ops, dt) == pytest.approx(
         1.0, abs=1e-14)
     # Wall samples vanish up to the roundoff of sin(pi) at the far walls.
@@ -146,7 +147,7 @@ def test_gradient_matches_finite_difference(barrier_spec):
 def test_step_potential_midpoint_value(barrier_spec):
     g = barrier_spec
     grid = g.grid()
-    u3 = g.potential(grid).as_3d()
+    u3 = g.potential("barrier", grid).as_3d()
     x, _, _ = grid.node_coordinates()
     i_step = int(np.argmin(np.abs(x - g.a)))
     assert x[i_step] == pytest.approx(g.a, abs=1e-15)

@@ -518,7 +518,8 @@ def test_lanczos_matches_arpack_on_the_barrier_plus_block():
 
     spec = GaussianBarrierSpec()
     grid = spec.grid()
-    ops = DiscreteOperators(grid, spec.potential(grid), spec.constants)
+    ops = DiscreteOperators(grid, spec.potential("barrier", grid),
+                            spec.constants)
     c = spec.time_step() / (2.0 * spec.constants.hbar)
     vol = grid.cell_volume
     plus = ((sp.diags(ops.metrics.v) + c * sparse_H(ops)) / vol).tocsr()
@@ -539,7 +540,8 @@ def test_well_plus_block_converges_despite_ghost_copies(monkeypatch):
 
     spec = InfiniteWellSpec()
     grid = spec.grid()
-    ops = DiscreteOperators(grid, spec.potential(grid), spec.constants)
+    ops = DiscreteOperators(grid, spec.potential("well", grid),
+                            spec.constants)
     lanczos = stability._lanczos_extreme
     steps = []
 
