@@ -11,6 +11,7 @@ cancel, which is what conserves the summed probability and energy.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,8 +46,49 @@ class Interface:
         return ((self.region_a, self.face_a), (self.region_b, self.face_b))
 
 
+class LinkSide(NamedTuple):
+    """One region's side of an interface, as the merged update uses it.
+
+    nodes selects the face's nodes from the region's 3D node array (of
+    the given shape), hbar_v holds hbar V'' and coeff kin n.S''_b on
+    them, block is the face's (start, stop, 2D shape) in the hanging
+    vector, and rim masks the face nodes pinned by Dirichlet faces (None
+    when the face has none).
+    """
+
+    name: str
+    shape: tuple
+    nodes: tuple
+    hbar_v: np.ndarray
+    coeff: np.ndarray
+    block: tuple
+    rim: Optional[np.ndarray]
+
+
+class InterfaceLink(NamedTuple):
+    """An interface with the constants of its merged update: both sides
+    (LinkSide), hbar, and volume = V''_A + V''_B on the shared face."""
+
+    sides: tuple
+    hbar: float
+    volume: np.ndarray
+
+
+def _link_side(region, face):
+    ops = region.ops
+    sl = ops.face_slices[face]
+    rim = region.pinned.mask[sl]
+    return LinkSide(region.name, region.grid.node_shape, sl,
+                    ops.constants.hbar * ops.v3[sl], ops.face_coeff[face],
+                    ops.face_layout[face], rim if rim.any() else None)
+
+
 class RegionGraph:
-    """A set of regions plus the interfaces joining them."""
+    """A set of regions plus the interfaces joining them.
+
+    links holds each interface's InterfaceLink, built once with the graph
+    for the leap-frog kernel.
+    """
 
     def __init__(self, regions, interfaces):
         self.regions = {r.name: r for r in regions}
@@ -82,6 +124,14 @@ class RegionGraph:
                     raise ValueError(
                         f"interface face {f} of {r.name} is unmatched")
         self._sync_interface_samples()
+        self.links = [self._link(itf) for itf in self.interfaces]
+
+    def _link(self, itf):
+        """The InterfaceLink of one of the graph's interfaces."""
+        ra, rb = self.regions[itf.region_a], self.regions[itf.region_b]
+        a, b = _link_side(ra, itf.face_a), _link_side(rb, itf.face_b)
+        return InterfaceLink((a, b), ra.ops.constants.hbar,
+                             ra.ops.v3[a.nodes] + rb.ops.v3[b.nodes])
 
     def _sync_interface_samples(self, tol=1e-12):
         """Force exact equality of the shared samples (B copies A)."""
@@ -112,7 +162,7 @@ def coupled_step(graph, dt):
     graph.step_index()
     out = leapfrog({name: (r.ops, r.boundary, r.state, r.pinned)
                     for name, r in graph.regions.items()},
-                   graph.interfaces, dt)
+                   graph.links, dt)
     for name, (state, _) in out.items():
         graph.regions[name].state = state
     return {name: window for name, (_, window) in out.items()}

@@ -15,13 +15,17 @@ the supplied power s^{n+1/2}; the balances read
     (P^{n+1} - P^n)/dt = -I_P^{n+1/2},      (H^{n+1} - H^n)/dt = s^{n+1/2}.
 
 Both fluxes are sums over boundary nodes weighted by the hanging variables,
-so they are evaluated on face slices only, and only on the faces whose
+so they are evaluated on the face nodes only, and only on the faces whose
 hanging variables can be nonzero (prescribed and interface faces; see
 BoundaryCondition.flux_faces).  Dirichlet-zero and Neumann-zero faces
-contribute exactly zero and are skipped.
+contribute exactly zero and are skipped.  The listed faces' samples are
+gathered into flat vectors (operators.FaceSet, built once per face tuple),
+each elementwise expression runs once over all of them, and each face is
+summed over its own slice.
 
-All reductions are plain numpy sums (pairwise, fixed order) so repeated
-runs produce identical digits.
+All reductions are np.add.reduce, the ufunc reduction np.sum runs, with
+its pairwise order: a face's slice sums in the order of the face's 2D
+array, so repeated runs produce identical digits.
 
 A run records the fluxes every step but evaluates the O(N) quadratic
 forms only on the rows it keeps: with a CSV stride k, SeriesBuilder
@@ -67,7 +71,7 @@ def atomic_open(path, mode="w", newline=None):
 
 def _dot(a, b):
     """Deterministic inner product (pairwise summation)."""
-    return float(np.sum(a * b))
+    return float(np.add.reduce(a * b, axis=None))
 
 
 def total_probability(psiR, psiI, ops, dt, h_psiR=None):
@@ -88,60 +92,50 @@ def probability_simple(psiR, psiI, ops):
 def probability_current_by_face(ops, window, faces=FACES):
     """Per-face probability current I_P^{n+1/2}; returns dict face -> value.
 
-    window is the StepWindow of step n -> n+1.  The current through a face
-    is (2/hbar) times the face sum of kin n.S''_b (psiR_avg gradI^{n+1/2}
+    window is the StepWindow of step n -> n+1, or its FaceSamples on these
+    faces (operators.FaceSet.gather).  The current through a face is
+    (2/hbar) times the face sum of kin n.S''_b (psiR_avg gradI^{n+1/2}
     - psiI_avg gradR^n), where psiR_avg = (psi_R^{n+1} + psi_R^n)/2 and
     psiI_avg = (psi_I^{n+1/2} + psi_I^{n-1/2})/2 are formed on the face
     nodes only.  The sums run over the listed faces; every other face is
     reported as 0.0, which is exact when its hanging variables are zero.
     """
-    grid = ops.grid
-    shape = grid.node_shape
-    r_np1 = window.psiR_np1.reshape(shape)
-    r_n = window.psiR_n.reshape(shape)
-    i_np = window.psiI_np.reshape(shape)
-    i_nm = window.psiI_nm.reshape(shape)
+    face_set = ops.face_set(faces)
+    w = face_set.gather(window)
+    r_avg = 0.5 * (w.psiR_np1 + w.psiR_n)
+    i_avg = 0.5 * (w.psiI_np + w.psiI_nm)
+    terms = face_set.coeff * (r_avg * w.gradI_np - i_avg * w.gradR_n)
     two_over_hbar = 2.0 / ops.constants.hbar
     out = dict.fromkeys(FACES, 0.0)
-    for f in faces:
-        sl = ops.face_slices[f]
-        r_avg = 0.5 * (r_np1[sl] + r_n[sl])
-        i_avg = 0.5 * (i_np[sl] + i_nm[sl])
-        gr = ops.face_block(window.gradR_n, f)
-        gi = ops.face_block(window.gradI_np, f)
-        out[f] = two_over_hbar * float(
-            np.sum(ops.face_coeff[f] * (r_avg * gi - i_avg * gr)))
+    for f, lo, hi in face_set.bounds:
+        out[f] = two_over_hbar * float(np.add.reduce(terms[lo:hi]))
     return out
 
 
 def supplied_power(ops, window, grad_r_next, grad_i_prev, dt, faces=FACES):
     """s^{n+1/2} = (2/dt) (dpsiR . H_bot gradR_avg + dpsiI . H_bot gradI_avg).
 
-    window is the StepWindow of step n -> n+1, giving dpsiR = psi_R^{n+1}
-    - psi_R^n and dpsiI = psi_I^{n+1/2} - psi_I^{n-1/2}; grad_r_next is
-    gradR^{n+1} and grad_i_prev is gradI^{n-1/2}, so that gradR_avg =
-    (gradR^{n+1} + gradR^n)/2 and gradI_avg = (gradI^{n+1/2} +
-    gradI^{n-1/2})/2.  The differences, averages and dot products are
-    formed on the listed faces' nodes only, which is exact when the
-    hanging variables of every other face are zero.
+    window is the StepWindow of step n -> n+1, or its FaceSamples on these
+    faces, giving dpsiR = psi_R^{n+1} - psi_R^n and dpsiI = psi_I^{n+1/2}
+    - psi_I^{n-1/2}; grad_r_next is gradR^{n+1} and grad_i_prev is
+    gradI^{n-1/2}, full hanging vectors, so that gradR_avg = (gradR^{n+1}
+    + gradR^n)/2 and gradI_avg = (gradI^{n+1/2} + gradI^{n-1/2})/2.  The
+    differences, averages and dot products are formed on the listed
+    faces' nodes only, which is exact when the hanging variables of every
+    other face are zero; the face sums are added up face by face.
     """
-    grid = ops.grid
-    shape = grid.node_shape
-    r_np1 = window.psiR_np1.reshape(shape)
-    r_n = window.psiR_n.reshape(shape)
-    i_np = window.psiI_np.reshape(shape)
-    i_nm = window.psiI_nm.reshape(shape)
+    face_set = ops.face_set(faces)
+    w = face_set.gather(window)
+    coeff = face_set.coeff
+    gr_avg = 0.5 * (grad_r_next.take(face_set.hanging) + w.gradR_n)
+    gi_avg = 0.5 * (w.gradI_np + grad_i_prev.take(face_set.hanging))
+    terms_r = (w.psiR_np1 - w.psiR_n) * (coeff * gr_avg)
+    terms_i = (w.psiI_np - w.psiI_nm) * (coeff * gi_avg)
     acc_r = 0.0
     acc_i = 0.0
-    for f in faces:
-        sl = ops.face_slices[f]
-        coeff = ops.face_coeff[f]
-        gr_avg = 0.5 * (ops.face_block(grad_r_next, f)
-                        + ops.face_block(window.gradR_n, f))
-        gi_avg = 0.5 * (ops.face_block(window.gradI_np, f)
-                        + ops.face_block(grad_i_prev, f))
-        acc_r += _dot(r_np1[sl] - r_n[sl], coeff * gr_avg)
-        acc_i += _dot(i_np[sl] - i_nm[sl], coeff * gi_avg)
+    for _, lo, hi in face_set.bounds:
+        acc_r += float(np.add.reduce(terms_r[lo:hi]))
+        acc_i += float(np.add.reduce(terms_i[lo:hi]))
     return (2.0 / dt) * (acc_r + acc_i)
 
 
@@ -257,10 +251,12 @@ class SeriesBuilder:
     rows DiagnosticsSeries.write_csv writes with the same stride), on
     n = 1 (the base H^1 of residual_H) and, for P by finish, on the final
     row; every other row stays NaN.  The products are formed in two N-sized
-    buffers owned by the builder and summed with np.sum, so each value has
-    the bits of total_probability and probability_simple, and H and
-    H_simple those of the module docstring's formulas with every inner
-    product a plain np.sum.
+    buffers owned by the builder and summed with np.add.reduce, so each
+    value has the bits of total_probability and probability_simple, and H
+    and H_simple those of the module docstring's formulas with every inner
+    product a plain np.sum.  Each window's face samples are gathered once
+    (FaceSamples): the fluxes I_P of its step and, at the next record, s
+    of its step read them.
     """
 
     def __init__(self, ops, dt, n_t, faces=FACES, stride=1):
@@ -278,8 +274,10 @@ class SeriesBuilder:
         self.I_P = np.full(max(n_t, 1), np.nan)
         self.I_P_faces = np.full((max(n_t, 1), 6), np.nan)
         self.s = np.full(max(n_t, 1), np.nan)
+        self._face_set = ops.face_set(self.faces)
         self._buf = (np.empty(ops.grid.n_nodes), np.empty(ops.grid.n_nodes))
         self._prev = None        # previous window
+        self._prev_samples = None    # its FaceSamples
         self._prevprev_gradI = None  # gradI^{n-3/2} for the current window
         self._steps = 0
 
@@ -287,14 +285,14 @@ class SeriesBuilder:
         """_dot(a, b), the product formed in the first buffer."""
         buf = self._buf[0]
         np.multiply(a, b, out=buf)
-        return float(np.sum(buf))
+        return float(np.add.reduce(buf))
 
     def _norm_v(self, a):
         """_dot(a, v * a), the products formed in the first buffer."""
         buf = self._buf[0]
         np.multiply(self.ops.metrics.v, a, out=buf)
         buf *= a
-        return float(np.sum(buf))
+        return float(np.add.reduce(buf))
 
     def record(self, window):
         ops = self.ops
@@ -309,9 +307,11 @@ class SeriesBuilder:
             self.P[n] = p_simple - (dt / ops.constants.hbar) * self._dot(
                 window.psiI_nm, window.h_psiR_n)
 
-        by_face = probability_current_by_face(ops, window, self.faces)
-        self.I_P_faces[n] = [by_face[f] for f in FACES]
-        self.I_P[n] = float(sum(by_face[f] for f in FACES))
+        samples = self._face_set.gather(window)
+        by_face = probability_current_by_face(ops, samples, self.faces)
+        row = [by_face[f] for f in FACES]
+        self.I_P_faces[n] = row
+        self.I_P[n] = sum(row)
 
         prev = self._prev
         if prev is not None:
@@ -324,7 +324,7 @@ class SeriesBuilder:
                 np.subtract(window.psiI_np, window.psiI_nm, out=d_i)
                 d_i *= ops.metrics.v
                 d_r *= d_i
-                corr = (ops.constants.hbar / dt) * float(np.sum(d_r))
+                corr = (ops.constants.hbar / dt) * float(np.add.reduce(d_r))
                 self.H[n] = simple + corr
                 self.H_simple[n] = simple
             # Supplied power at n - 1/2 ... s^{(n-1)+1/2} needs this
@@ -332,10 +332,11 @@ class SeriesBuilder:
             m = n - 1
             if m >= 1 and prev.n == m and self._prevprev_gradI is not None:
                 self.s[m] = supplied_power(
-                    ops, prev, window.gradR_n, self._prevprev_gradI, dt,
-                    self.faces)
+                    ops, self._prev_samples, window.gradR_n,
+                    self._prevprev_gradI, dt, self.faces)
         self._prevprev_gradI = prev.gradI_np if prev is not None else None
         self._prev = window
+        self._prev_samples = samples
         self._steps = n + 1
 
     def finish(self, final_state):

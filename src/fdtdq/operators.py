@@ -28,6 +28,8 @@ grid of more than DENSE_EIG_MAX_NODES nodes with a ValueError before it
 allocates: at that limit one N x N float64 matrix takes 134 MB.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .grid import (FACES, FACE_SIGN, boundary_weights, face_node_slices,
@@ -71,10 +73,12 @@ class DiscreteOperators:
         # Flat offsets of the x, y and z neighbours, with the coefficients
         # and the nodes last along each axis, whose flat difference pairs
         # them with the next row or plane (or runs past the end).
+        # The z differences fill whole planes, none of which wraps, so the
+        # z axis has no wrap index.
         nx1 = grid.nx + 1
         self._axes = ((1, self._cx, (Ellipsis, -1)),
                       (nx1, self._cy, (slice(None), -1)),
-                      (nx1 * (grid.ny + 1), self._cz, -1))
+                      (nx1 * (grid.ny + 1), self._cz, None))
 
         # Per-face boundary coefficients kin * sign * S''_b as 2D arrays.
         face_weights = {
@@ -89,23 +93,29 @@ class DiscreteOperators:
                            for f in FACES}
 
         # Hanging-vector layout: each face's (start, stop, 2D shape) and
-        # its node slices, fixed by the grid.
+        # its node slices, fixed by the grid; FaceSets of face tuples are
+        # built from them on first use (face_set).
         self.n_hanging = grid.n_hanging
-        self._face_layout = {}
+        self.face_layout = {}
         for f, start in grid.hanging_offsets().items():
-            self._face_layout[f] = (start, start + grid.face_size(f),
-                                    grid.face_shape(f))
+            self.face_layout[f] = (start, start + grid.face_size(f),
+                                   grid.face_shape(f))
         self.face_slices = {f: face_node_slices(grid, f) for f in FACES}
+        self._face_sets = {}
 
     # ---- hanging-variable vector layout -------------------------------
 
-    def face_block(self, b, face):
-        """One face's block of a flat hanging-variable vector, as a 2D view."""
-        start, stop, shape = self._face_layout[face]
-        return b[start:stop].reshape(shape)
-
     def zero_hanging(self):
         return np.zeros(self.n_hanging)
+
+    def face_set(self, faces):
+        """The FaceSet of a sequence of faces, built on first use and kept."""
+        faces = tuple(faces)
+        try:
+            return self._face_sets[faces]
+        except KeyError:
+            out = self._face_sets[faces] = FaceSet(self, faces)
+            return out
 
     # ---- matrix-free applications --------------------------------------
 
@@ -116,6 +126,8 @@ class DiscreteOperators:
         taken into one scratch array, scaled by the edge coefficients, and
         their pairs that wrap to the next row or plane are zeroed; then
         each edge flux leaves its tail node and enters its head node.
+        Along z the differences are the first n_z planes exactly, so only
+        those are scaled.
         """
         n = self.grid.n_nodes
         if v.size != n:
@@ -126,10 +138,13 @@ class DiscreteOperators:
         g3 = g.reshape(self.grid.node_shape)
         for off, coeff, wrap in self._axes:
             m = n - off
-            g[m:] = 0.0  # the unused tail, so the multiply sees no garbage
             np.subtract(v[off:], v[:m], out=g[:m])
-            g3 *= coeff
-            g3[wrap] = 0.0
+            if wrap is None:
+                g3[:-1] *= coeff
+            else:
+                g[m:] = 0.0  # the unused tail, so the multiply sees no garbage
+                g3 *= coeff
+                g3[wrap] = 0.0
             out[:m] -= g[:m]
             out[off:] += g[:m]
         return out
@@ -145,8 +160,9 @@ class DiscreteOperators:
             raise ValueError("vector length does not match hanging count")
         out = np.zeros(self.grid.node_shape)
         for f in faces:
+            start, stop, shape = self.face_layout[f]
             out[self.face_slices[f]] += \
-                self.face_coeff[f] * self.face_block(b, f)
+                self.face_coeff[f] * b[start:stop].reshape(shape)
         return out.reshape(-1)
 
     def apply_sigma(self, v):
@@ -202,7 +218,7 @@ class DiscreteOperators:
         idx = np.arange(self.grid.n_nodes).reshape(self.grid.node_shape)
         hbot = np.zeros((self.grid.n_nodes, self.n_hanging))
         for f in FACES:
-            start, stop, _ = self._face_layout[f]
+            start, stop, _ = self.face_layout[f]
             hbot[idx[self.face_slices[f]].reshape(-1),
                  np.arange(start, stop)] = self.face_coeff[f].reshape(-1)
         return hbot
@@ -221,3 +237,68 @@ class DiscreteOperators:
         h = self.assemble_H()
         vs = self._v_inv_sqrt()
         return (vs[:, None] * h * vs[None, :]) / self.constants.hbar
+
+
+class FaceSamples(NamedTuple):
+    """A StepWindow's samples on the faces of a FaceSet (FaceSet.gather):
+    its four node vectors at the faces' nodes and its two hanging vectors
+    at the faces' hanging variables."""
+
+    face_set: "FaceSet"
+    psiR_np1: np.ndarray
+    psiR_n: np.ndarray
+    psiI_np: np.ndarray
+    psiI_nm: np.ndarray
+    gradR_n: np.ndarray
+    gradI_np: np.ndarray
+
+
+class FaceSet:
+    """A tuple of one region's faces, gathered into flat vectors.
+
+    nodes holds the faces' flat node indices and hanging their indices in
+    the hanging-variable vector, face after face in the listed order and
+    each face in its hanging-block order, so a node on an edge of two
+    listed faces appears once per face.  coeff holds the matching boundary
+    coefficients kin * n.S''_b, and bounds each face's (face, start, stop)
+    in the gathered vectors.  Built once per face tuple and kept by the
+    operators (DiscreteOperators.face_set).
+    """
+
+    def __init__(self, ops, faces):
+        self.faces = faces
+        nz1, ny1, nx1 = ops.grid.node_shape
+        # Flat index of node (k, j, i), split by axis; a face fixes one
+        # index and its 2D view runs over the other two.
+        axes = (np.arange(nz1) * (ny1 * nx1), np.arange(ny1) * nx1,
+                np.arange(nx1))
+        nodes, hanging, coeff, bounds = [], [], [], []
+        pos = 0
+        for f in faces:
+            parts = [a[sl] for a, sl in zip(axes, ops.face_slices[f])]
+            rows, cols = (p for p in parts if p.ndim == 1)
+            fixed = sum(p for p in parts if p.ndim == 0)
+            nodes.append((fixed + rows[:, None] + cols[None, :]).reshape(-1))
+            start, stop, _ = ops.face_layout[f]
+            hanging.append(np.arange(start, stop))
+            coeff.append(ops.face_coeff[f].reshape(-1))
+            bounds.append((f, pos, pos + stop - start))
+            pos += stop - start
+        empty = np.empty(0, dtype=np.intp)
+        self.nodes = np.concatenate([empty, *nodes])
+        self.hanging = np.concatenate([empty, *hanging])
+        self.coeff = np.concatenate([np.empty(0), *coeff])
+        self.bounds = tuple(bounds)
+
+    def gather(self, window):
+        """window's FaceSamples on these faces, one take per vector;
+        samples this set gathered are returned as they are."""
+        if isinstance(window, FaceSamples):
+            if window.face_set is not self:
+                raise ValueError("samples were gathered on other faces")
+            return window
+        nodes, hanging = self.nodes, self.hanging
+        return FaceSamples(
+            self, window.psiR_np1.take(nodes), window.psiR_n.take(nodes),
+            window.psiI_np.take(nodes), window.psiI_nm.take(nodes),
+            window.gradR_n.take(hanging), window.gradI_np.take(hanging))

@@ -126,7 +126,8 @@ class BoundaryCondition:
         out = ops.zero_hanging()
         for f in self.driven_faces:
             vals = np.asarray(self.sources[f](f, t))
-            ops.face_block(out, f)[...] = \
+            start, stop, shape = ops.face_layout[f]
+            out[start:stop].reshape(shape)[...] = \
                 vals.real if part == "real" else vals.imag
         return out
 
@@ -194,7 +195,7 @@ class Region:
         return cls(name=name, ops=ops, boundary=boundary, state=state)
 
 
-def _half_step(parts, interfaces, dt, t, real_half, acting, before):
+def _half_step(parts, links, dt, t, real_half, acting, before):
     """One half step of every region; returns (new samples, H acting, g).
 
     The imaginary half takes before = psi_I^{n-1/2} to psi_I^{n+1/2} with
@@ -202,6 +203,8 @@ def _half_step(parts, interfaces, dt, t, real_half, acting, before):
     the real half takes before = psi_R^n to psi_R^{n+1} with
     H psi_I^{n+1/2} - H_bot gradI^{n+1/2}.  The right-hand side is built
     and scaled in place, with the roundings of the textbook expressions.
+    links holds the interfaces with their face constants
+    (coupling.InterfaceLink).
     """
     new, h, grad, rhs = {}, {}, {}, {}
     for name, (ops, bc, _, _) in parts.items():
@@ -217,62 +220,59 @@ def _half_step(parts, interfaces, dt, t, real_half, acting, before):
     # Merged update of the shared samples, from the unscaled right-hand
     # sides on the interface faces.
     merged = []
-    for itf in interfaces:
-        ops_a, ops_b = parts[itf.region_a][0], parts[itf.region_b][0]
-        sla = ops_a.face_slices[itf.face_a]
-        slb = ops_b.face_slices[itf.face_b]
-        denom = ops_a.v3[sla] + ops_b.v3[slb]
-        base = before[itf.region_a].reshape(ops_a.grid.node_shape)[sla]
-        rhs_sum = rhs[itf.region_a].reshape(ops_a.grid.node_shape)[sla] \
-            + rhs[itf.region_b].reshape(ops_b.grid.node_shape)[slb]
-        merged.append(base + (dt / ops_a.constants.hbar) * rhs_sum / denom)
+    for link in links:
+        a, b = link.sides
+        base = before[a.name].reshape(a.shape)[a.nodes]
+        rhs_sum = rhs[a.name].reshape(a.shape)[a.nodes] \
+            + rhs[b.name].reshape(b.shape)[b.nodes]
+        merged.append(base + (dt / link.hbar) * rhs_sum / link.volume)
 
     for name, (ops, _, _, pinned) in parts.items():
         upd = rhs[name]
         upd *= dt / ops.constants.hbar
         upd /= ops.metrics.v
-        upd[pinned.flat] = 0.0
+        if pinned.flat.size:
+            upd[pinned.flat] = 0.0
         new[name] = np.add(before[name], upd, out=upd)
 
     # Pinned samples keep their value, as their update is zero, except on
     # the interface faces, where the merge wrote them.
-    for itf, value in zip(interfaces, merged):
-        for name, face in itf.sides:
-            ops, pinned = parts[name][0], parts[name][3]
-            sl = ops.face_slices[face]
-            shared = new[name].reshape(ops.grid.node_shape)[sl]
+    for link, value in zip(links, merged):
+        for side in link.sides:
+            shared = new[side.name].reshape(side.shape)[side.nodes]
             shared[...] = value
-            shared[pinned.mask[sl]] = 0.0
+            if side.rim is not None:
+                shared[side.rim] = 0.0
 
     # Interface hanging variables, recovered per region from its own
     # update equation with the merged samples:
     #   gradR = (hbar V'' dpsi/dt + (H psi_R)|face) / (kin * n * S''_b),
     #   gradI = ((H psi_I)|face - hbar V'' dpsi/dt) / (kin * n * S''_b).
-    for itf in interfaces:
-        for name, face in itf.sides:
-            ops = parts[name][0]
-            shape = ops.grid.node_shape
-            sl = ops.face_slices[face]
-            dpsi = (new[name].reshape(shape)[sl]
-                    - before[name].reshape(shape)[sl])
-            change = ops.constants.hbar * ops.v3[sl] * dpsi / dt
-            h_face = h[name].reshape(shape)[sl]
-            ops.face_block(grad[name], face)[...] = (
-                (h_face - change) if real_half else (change + h_face)
-            ) / ops.face_coeff[face]
+    for link in links:
+        for side in link.sides:
+            shape, sl = side.shape, side.nodes
+            dpsi = (new[side.name].reshape(shape)[sl]
+                    - before[side.name].reshape(shape)[sl])
+            change = side.hbar_v * dpsi / dt
+            h_face = h[side.name].reshape(shape)[sl]
+            start, stop, block = side.block
+            np.divide((h_face - change) if real_half else (change + h_face),
+                      side.coeff,
+                      out=grad[side.name][start:stop].reshape(block))
     return new, h, grad
 
 
-def leapfrog(parts, interfaces, dt):
+def leapfrog(parts, links, dt):
     """Advance a set of regions joined by interfaces one leap-frog step.
 
     The one leap-frog kernel: step is the case of one region and no
     interfaces, coupling.coupled_step that of a region graph.  parts maps
     region names to (ops, boundary, state, pinned), pinned being the
-    region's PinnedNodes; interfaces lists coupling.Interface objects, and
-    all states are at the same step.  No state is modified.  Returns
-    name -> (new state, StepWindow); a new vector of any region with a
-    non-finite sample raises DivergenceError(n + 1, inf) instead.
+    region's PinnedNodes; links lists the interfaces with their face
+    constants (coupling.RegionGraph.links), and all states are at the same
+    step.  No state is modified.  Returns name -> (new state, StepWindow);
+    a new vector of any region with a non-finite sample raises
+    DivergenceError(n + 1, inf) instead.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -280,11 +280,10 @@ def leapfrog(parts, interfaces, dt):
     psi_r, psi_i = {}, {}
     for name, (_, _, state, _) in parts.items():
         psi_r[name], psi_i[name] = state.psiR, state.psiI
-    psi_i_new, h_r, grad_r = _half_step(parts, interfaces, dt, n * dt,
-                                        False, psi_r, psi_i)
-    psi_r_new, h_i, grad_i = _half_step(parts, interfaces, dt,
-                                        (n + 0.5) * dt, True, psi_i_new,
-                                        psi_r)
+    psi_i_new, h_r, grad_r = _half_step(parts, links, dt, n * dt, False,
+                                        psi_r, psi_i)
+    psi_r_new, h_i, grad_i = _half_step(parts, links, dt, (n + 0.5) * dt,
+                                        True, psi_i_new, psi_r)
     out = {}
     for name in parts:
         largest = _largest((psi_r_new[name], psi_i_new[name]))
@@ -353,7 +352,8 @@ def _largest(arrays):
     """
     out = 0.0
     for x in arrays:
-        hi, lo = float(x.max()), float(x.min())
+        hi = float(np.maximum.reduce(x, axis=None))
+        lo = float(np.minimum.reduce(x, axis=None))
         if not (math.isfinite(hi) and math.isfinite(lo)):
             return math.inf
         out = max(out, hi, -lo)

@@ -12,11 +12,15 @@ the tests that compare the two:
   assemble_Hbot; sparse_H also stands in for H on grids too large for a
   dense matrix.
 - dense_rho: rho(Sigma) by a full symmetric eigensolve.
-- split_hanging and join_hanging: a hanging-variable vector as per-face
-  blocks and back, the layout that face_block reads.
+- face_block, split_hanging and join_hanging: a hanging-variable vector
+  as per-face blocks and back, through the operators' face_layout.
 - all_neumann: the closed box whose hanging variables are all zero.
 - energy_simple and total_energy: H^n straight from its formula, against
   the buffered evaluation in SeriesBuilder.record.
+- face_current_loop and face_power_loop: I_P per face and s as one loop
+  over the faces, each face formed on its 2D node slice and summed with
+  np.sum, against the gathered flux faces of probability_current_by_face
+  and supplied_power.
 - energy_lower_bound: the a priori lower bound on H^n from lambda_min(P).
 - tunneling_mode_dfx: the x-derivative of a tunneling mode profile, for
   the C^1 continuity of the analytic modes across the interfaces.
@@ -124,9 +128,15 @@ def dense_rho(ops):
         ops.assemble_sigma_dense()))))
 
 
+def face_block(ops, b, face):
+    """One face's block of a flat hanging-variable vector, as a 2D view."""
+    start, stop, shape = ops.face_layout[face]
+    return b[start:stop].reshape(shape)
+
+
 def split_hanging(ops, b):
     """A flat hanging-variable vector as per-face 2D arrays."""
-    return {f: ops.face_block(b, f) for f in FACES}
+    return {f: face_block(ops, b, f) for f in FACES}
 
 
 def join_hanging(ops, by_face):
@@ -156,6 +166,47 @@ def total_energy(psiR, psiR_prev, psiI, psiI_next, ops, dt,
     corr = (ops.constants.hbar / dt) * _dot(psiR - psiR_prev,
                                             v * (psiI_next - psiI))
     return simple + corr
+
+
+def face_current_loop(ops, window, faces):
+    """Per-face I_P^{n+1/2} of a StepWindow, face by face on 2D slices."""
+    shape = ops.grid.node_shape
+    r_np1 = window.psiR_np1.reshape(shape)
+    r_n = window.psiR_n.reshape(shape)
+    i_np = window.psiI_np.reshape(shape)
+    i_nm = window.psiI_nm.reshape(shape)
+    two_over_hbar = 2.0 / ops.constants.hbar
+    out = dict.fromkeys(FACES, 0.0)
+    for f in faces:
+        sl = ops.face_slices[f]
+        r_avg = 0.5 * (r_np1[sl] + r_n[sl])
+        i_avg = 0.5 * (i_np[sl] + i_nm[sl])
+        gr = face_block(ops, window.gradR_n, f)
+        gi = face_block(ops, window.gradI_np, f)
+        out[f] = two_over_hbar * float(
+            np.sum(ops.face_coeff[f] * (r_avg * gi - i_avg * gr)))
+    return out
+
+
+def face_power_loop(ops, window, grad_r_next, grad_i_prev, dt, faces):
+    """s^{n+1/2} of a StepWindow, face by face on 2D slices."""
+    shape = ops.grid.node_shape
+    r_np1 = window.psiR_np1.reshape(shape)
+    r_n = window.psiR_n.reshape(shape)
+    i_np = window.psiI_np.reshape(shape)
+    i_nm = window.psiI_nm.reshape(shape)
+    acc_r = 0.0
+    acc_i = 0.0
+    for f in faces:
+        sl = ops.face_slices[f]
+        coeff = ops.face_coeff[f]
+        gr_avg = 0.5 * (face_block(ops, grad_r_next, f)
+                        + face_block(ops, window.gradR_n, f))
+        gi_avg = 0.5 * (face_block(ops, window.gradI_np, f)
+                        + face_block(ops, grad_i_prev, f))
+        acc_r += float(np.sum((r_np1[sl] - r_n[sl]) * (coeff * gr_avg)))
+        acc_i += float(np.sum((i_np[sl] - i_nm[sl]) * (coeff * gi_avg)))
+    return (2.0 / dt) * (acc_r + acc_i)
 
 
 def energy_lower_bound(ops, dt, p_max):

@@ -13,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from fdtdq import cli
+from fdtdq import cli, diagnostics
 from fdtdq import scenarios as sc
+from fdtdq.operators import DiscreteOperators
+from fdtdq.stepper import BoundaryCondition
 from test_cli import TINY, write_config
 
 CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
@@ -65,6 +67,11 @@ PREPARE = ("prepare_infinite_well", "prepare_barrier",
            "build_tunneling_graph")
 ANALYTIC = ("analytic_region_probability", "analytic_region_energy",
             "analytic_total_energy")
+# The per-step functions it replaces on their module or class: the face
+# fluxes that record calls, and the two boundary calls of each half step.
+FLUXES = ("probability_current_by_face", "supplied_power")
+HALF_STEP = ((DiscreteOperators, "apply_Hbot"),
+             (BoundaryCondition, "hanging_at"))
 
 
 @pytest.mark.parametrize("scenario", sorted(TINY))
@@ -73,19 +80,27 @@ def test_cli_calls_the_bench_targets_through_their_modules(
     # A stored reference (say, a table built at import) would keep the
     # unwrapped function, and only the slow bench smoke test would see it.
     calls = []
+    per_step = dict.fromkeys(FLUXES + tuple(n for _, n in HALF_STEP), 0)
 
-    def counting(module, name):
-        original = getattr(module, name)
+    def counting(owner, name, log=calls.append):
+        original = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            calls.append(name)
+            log(name)
             return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
+
+    def tally(name):
+        per_step[name] += 1
 
     for name in DRIVERS:
         counting(cli, name)
     for name in PREPARE + ANALYTIC:
         counting(sc, name)
+    for name in FLUXES:
+        counting(diagnostics, name, tally)
+    for owner, name in HALF_STEP:
+        counting(owner, name, tally)
     config = write_config(tmp_path, TINY[scenario])
 
     assert cli.main(["run", "--config", config,
@@ -99,8 +114,15 @@ def test_cli_calls_the_bench_targets_through_their_modules(
                               "analytic_region_energy"],
                   "tunneling": ["analytic_total_energy"]}[scenario]
     assert calls == [prepare, driver] + references
+    # record: I_P every step, s on steps 1..n_t-2; two half steps a step.
+    regions = 3 if scenario == "tunneling" else 1
+    n_t = TINY[scenario]["n_t"]
+    assert per_step == {
+        "probability_current_by_face": regions * n_t,
+        "supplied_power": regions * (n_t - 2),
+        "apply_Hbot": 2 * regions * n_t,
+        "hanging_at": 2 * regions * n_t}
 
     calls.clear()
     assert cli.main(["cfl", "--config", config]) == cli.EXIT_OK
-    regions = 3 if scenario == "tunneling" else 1
     assert calls == ["check_theorems"] * regions

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -208,6 +209,33 @@ TINY = {
                   "cell": {"value": 0.1, "unit": "angstrom"},
                   "u0": 1.6021766551777526e-19},
 }
+
+
+def test_a_graph_built_after_another_is_dropped_writes_its_own_bytes(
+        tmp_path, monkeypatch):
+    # The face and interface constants are kept by the operators and the
+    # region graph they describe.  A cache keyed by id() would hand a
+    # graph that reuses a dropped graph's id the dropped graph's constants;
+    # every id() in the package reads one value here, so any such cache
+    # sees that reuse.
+    for name, module in list(sys.modules.items()):
+        if name == "fdtdq" or name.startswith("fdtdq."):
+            monkeypatch.setattr(module, "id", lambda obj: 1, raising=False)
+    coarse = TINY["tunneling"]
+    fine = dict(coarse, cell={"value": 0.05, "unit": "angstrom"})
+
+    def csvs(settings, name):
+        out = tmp_path / name
+        config = write_config(tmp_path, settings, f"{name}.json")
+        assert main(["run", "--config", config,
+                     "--out", str(out)]) == EXIT_OK
+        gc.collect()
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+    first = csvs(fine, "first")
+    assert len(first) == 3
+    assert csvs(coarse, "coarse") != first
+    assert csvs(fine, "second") == first
 
 
 def _run_strided_and_reference(tmp_path, monkeypatch, settings, stride):

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdtdq import diagnostics
@@ -18,7 +18,8 @@ from fdtdq.stability import cfl_limit
 from fdtdq.stepper import (BoundaryCondition, NEUMANN0, PRESCRIBED,
                            StaggeredState, StepWindow, run)
 from references import (all_neumann, energy_lower_bound, energy_simple,
-                        join_hanging, split_hanging, total_energy)
+                        face_current_loop, face_power_loop, join_hanging,
+                        split_hanging, total_energy)
 
 
 def make_ops(nx=4, ny=3, nz=2, seed=0):
@@ -287,40 +288,96 @@ def test_csv_write_is_atomic(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [path]
 
 
-def _window(ops, n, rng, psiI_nm, scale):
+def _window(ops, n, rng, psiI_nm, scale, hanging=False):
     """A StepWindow of step n with random states and consistent H
     products; psiI_nm is psi_I^{n-1/2} (shared with the previous window's
-    psi_I^{n+1/2}).  The hanging vectors are zero."""
+    psi_I^{n+1/2}).  The hanging vectors are random if hanging is set,
+    else zero."""
     size = ops.grid.n_nodes
     psiR_n = scale * rng.standard_normal(size)
     psiI_np = scale * rng.standard_normal(size)
-    zero = ops.zero_hanging()
+    grad_r, grad_i = (scale * rng.standard_normal((2, ops.n_hanging))
+                      if hanging else (ops.zero_hanging(),) * 2)
     return StepWindow(
         n=n, psiR_n=psiR_n, psiR_np1=scale * rng.standard_normal(size),
-        psiI_nm=psiI_nm, psiI_np=psiI_np, gradR_n=zero, gradI_np=zero,
+        psiI_nm=psiI_nm, psiI_np=psiI_np, gradR_n=grad_r, gradI_np=grad_i,
         h_psiR_n=ops.apply_H(psiR_n), h_psiI_np=ops.apply_H(psiI_np))
+
+
+def _random_ops(cells, rng):
+    grid = RegionGrid(*cells, *rng.uniform(0.5e-9, 1.5e-9, 3))
+    return DiscreteOperators(grid, PotentialField(
+        grid, 1.6e-20 * rng.uniform(-1.0, 1.0, grid.n_nodes)), ELECTRON)
+
+
+# Flux-face tuples in any order, the three faces of one corner among them
+# (W, S and B share edge nodes pairwise and the corner node).
+FACE_TUPLES = st.one_of(
+    st.just(("W", "S", "B")),
+    st.lists(st.sampled_from(FACES), unique=True).map(tuple))
+
+
+@settings(max_examples=80, deadline=None)
+@example(cells=(1, 1, 1), faces=("W", "S", "B"), scale=1.0, seed=0)
+@given(cells=st.tuples(*[st.integers(1, 5)] * 3), faces=FACE_TUPLES,
+       scale=st.sampled_from([1e-3, 1.0, 1e6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_gathered_face_sums_equal_the_per_face_loops_bitwise(
+        cells, faces, scale, seed):
+    # The fluxes gather the listed faces' samples into flat vectors and
+    # sum each face over its own slice; every face's I_P and s must have
+    # the bits of the loop that forms each face on its 2D node slice.
+    rng = np.random.default_rng(seed)
+    ops = _random_ops(cells, rng)
+    dt = 0.5 * cfl_limit(ops.grid, ops.potential, ELECTRON)
+    win = _window(ops, 3, rng, scale * rng.standard_normal(ops.grid.n_nodes),
+                  scale, hanging=True)
+    grad_r_next, grad_i_prev = scale * rng.standard_normal(
+        (2, ops.n_hanging))
+
+    current = face_current_loop(ops, win, faces)
+    power = face_power_loop(ops, win, grad_r_next, grad_i_prev, dt, faces)
+    samples = ops.face_set(faces).gather(win)
+    for w in (win, samples):
+        got = probability_current_by_face(ops, w, faces)
+        assert all(got[f] == current[f] for f in FACES)
+        assert supplied_power(ops, w, grad_r_next, grad_i_prev, dt,
+                              faces) == power
+
+
+def test_face_samples_belong_to_their_faces():
+    ops = make_ops()
+    rng = np.random.default_rng(4)
+    win = _window(ops, 3, rng, rng.standard_normal(ops.grid.n_nodes), 1.0,
+                  hanging=True)
+    assert ops.face_set(["W", "E"]) is ops.face_set(("W", "E"))
+    samples = ops.face_set(("W", "E")).gather(win)
+    with pytest.raises(ValueError):
+        probability_current_by_face(ops, samples, ("W",))
 
 
 @settings(max_examples=40, deadline=None)
 @given(cells=st.tuples(*[st.integers(1, 5)] * 3),
        stride=st.integers(1, 12), n=st.integers(1, 40),
        scale=st.sampled_from([1e-3, 1.0, 1e6]),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1), faces=FACE_TUPLES)
 def test_buffered_record_equals_the_observable_functions_bitwise(
-        cells, stride, n, scale, seed):
+        cells, stride, n, scale, seed, faces):
     # record forms its products in preallocated buffers and evaluates
     # only the rows a CSV of its stride keeps, plus n = 1; on those rows
     # every quadratic form must have the bits of the public functions.
+    # It gathers each window's face samples once, for I_P of its step and
+    # s at the next record; both must have the bits of the face loops.
     rng = np.random.default_rng(seed)
-    grid = RegionGrid(*cells, *rng.uniform(0.5e-9, 1.5e-9, 3))
-    ops = DiscreteOperators(grid, PotentialField(
-        grid, 1.6e-20 * rng.uniform(-1.0, 1.0, grid.n_nodes)), ELECTRON)
+    ops = _random_ops(cells, rng)
+    grid = ops.grid
     dt = 0.5 * cfl_limit(grid, ops.potential, ELECTRON)
-    builder = SeriesBuilder(ops, dt, n + 2, faces=(), stride=stride)
+    builder = SeriesBuilder(ops, dt, n + 2, faces=faces, stride=stride)
     prev = _window(ops, n - 1, rng,
-                   scale * rng.standard_normal(grid.n_nodes), scale)
+                   scale * rng.standard_normal(grid.n_nodes), scale,
+                   hanging=True)
     builder.record(prev)
-    win = _window(ops, n, rng, prev.psiI_np, scale)
+    win = _window(ops, n, rng, prev.psiI_np, scale, hanging=True)
     builder.record(win)
 
     for row, w in ((n - 1, prev), (n, win)):
@@ -342,7 +399,16 @@ def test_buffered_record_equals_the_observable_functions_bitwise(
     else:
         assert np.isnan(builder.H[n]) and np.isnan(builder.H_simple[n])
     # The fluxes are recorded on every row, whatever the stride.
-    assert builder.I_P[n - 1] == 0.0 and builder.I_P[n] == 0.0
+    for row, w in ((n - 1, prev), (n, win)):
+        current = face_current_loop(ops, w, faces)
+        assert list(builder.I_P_faces[row]) == [current[f] for f in FACES]
+        assert builder.I_P[row] == sum(current[f] for f in FACES)
+    # s^{n+1/2} needs gradR^{n+1}, so the next window's record sets it.
+    assert np.isnan(builder.s[n])
+    nxt = _window(ops, n + 1, rng, win.psiI_np, scale, hanging=True)
+    builder.record(nxt)
+    assert builder.s[n] == face_power_loop(ops, win, nxt.gradR_n,
+                                           prev.gradI_np, dt, faces)
 
 
 def test_series_builder_rejects_stride_below_one():
